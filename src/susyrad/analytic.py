@@ -21,7 +21,6 @@ from .core import (
     DomainError,
     Family,
     ModelSpec,
-    NoBoundStateError,
     RadialGrid,
     Source,
     SpectrumResult,
@@ -69,17 +68,13 @@ def _require_level(n: int) -> None:
 def oscillator_epsilon_sq(n: int, model: ModelSpec) -> float:
     """eps^2_n = 4 n (m/hbar) omega_T; degenerate in ell."""
     _require_family(model, Family.OSCILLATOR, "oscillator_epsilon_sq")
-    _require_level(n)
-    w_t = omega_total(model.params["omega"], model.params["B"], model.units)
-    return 4.0 * n * model.units.mass * w_t / model.units.hbar
+    return analytic_epsilon_sq(model, n)
 
 
 def coulomb_epsilon_sq(n: int, model: ModelSpec) -> float:
     """eps^2_n = kappa^2 [ 1/(ell+1)^2 - 1/(n+ell+1)^2 ]."""
     _require_family(model, Family.COULOMB, "coulomb_epsilon_sq")
-    _require_level(n)
-    kappa, ell = model.params["kappa"], model.ell
-    return kappa**2 * (1.0 / (ell + 1.0) ** 2 - 1.0 / (n + ell + 1.0) ** 2)
+    return analytic_epsilon_sq(model, n)
 
 
 def morse_epsilon_sq(n: int, model: ModelSpec) -> float:
@@ -90,39 +85,28 @@ def morse_epsilon_sq(n: int, model: ModelSpec) -> float:
     NoBoundStateError.
     """
     _require_family(model, Family.MORSE, "morse_epsilon_sq")
-    _require_level(n)
-    a, alpha, b = (model.params[k] for k in ("a", "alpha", "b"))
-    if not b - alpha * n > 0:
-        raise NoBoundStateError(
-            f"morse level n={n} is not bound (requires b - alpha*n > 0; "
-            f"highest bound level is n={morse_max_level(model)})"
-        )
-    return alpha * n * (2.0 * b - alpha * n)
+    return analytic_epsilon_sq(model, n)
 
 
 def morse_max_level(model: ModelSpec) -> int:
     """Largest n with b - alpha n > 0 (the Morse tower is finite)."""
     _require_family(model, Family.MORSE, "morse_max_level")
-    b, alpha = model.params["b"], model.params["alpha"]
-    return max(0, math.ceil(b / alpha - 1e-12) - 1)
+    return model.max_level
 
 
 def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
-    """Dispatch to the family formula.  QES families only expose n = 0."""
-    if model.family is Family.OSCILLATOR:
-        return oscillator_epsilon_sq(n, model)
-    if model.family is Family.COULOMB:
-        return coulomb_epsilon_sq(n, model)
-    if model.family is Family.MORSE:
-        return morse_epsilon_sq(n, model)
-    if model.is_qes:
-        _require_level(n)
+    """The closed form in the family record.  QES families only expose n = 0."""
+    record = model.record
+    if record.closed_form == "none":
+        raise ConfigurationError(f"{model.family.value} models have no analytic spectrum")
+    _require_level(n)
+    if record.closed_form == "ground":
         if n != 0:
             raise ConfigurationError(
                 f"{model.family.value} has only its ground state in closed form"
             )
         return 0.0
-    raise ConfigurationError("custom models have no analytic spectrum")
+    return record.epsilon_sq(model, n)
 
 
 def analytic_spectrum(model: ModelSpec, n_max: int) -> SpectrumResult:

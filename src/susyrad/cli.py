@@ -26,29 +26,27 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import analytic as _analytic
 from . import qes as _qes
 from .core import (
+    FAMILIES,
     ConfigurationError,
     DomainError,
     Family,
     ModelSpec,
     NumericError,
     RadialGrid,
-    _energy_pair,
-    anharmonic_model,
-    coulomb_model,
+    Source,
+    Superpotential,
     custom_model,
-    deformed_coulomb_model,
-    morse_model,
-    omega_total,
-    oscillator_model,
-    sextic_model,
+    spectrum_result,
 )
 from .numsolve import (
+    TridiagonalOperator,
     discretize,
     eigenvector,
     isospectral_check,
@@ -56,6 +54,7 @@ from .numsolve import (
     quadrature,
 )
 from .superpot import (
+    PartnerPotentials,
     apply_lowering,
     ground_state_from_w,
     partner_potentials,
@@ -66,14 +65,6 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-CANONICAL_CHECKS = (
-    "isospectral",
-    "intertwine",
-    "orthonormal",
-    "ground_residual",
-    "analytic_vs_numeric",
-)
 
 #: tolerances for the verify checks (documented in the README)
 CHECK_TOLERANCES = {
@@ -86,18 +77,6 @@ CHECK_TOLERANCES = {
     "analytic_vs_numeric_qes": 5e-4,
 }
 
-#: default physics parameters when neither flag nor config file supplies one
-FAMILY_PARAM_DEFAULTS = {
-    Family.OSCILLATOR: {"omega": 1.0, "B": 0.0},
-    Family.COULOMB: {"kappa": 1.0},
-    Family.MORSE: {"a": 3.0, "alpha": 1.0, "b": 3.0},
-    Family.ANHARMONIC_QES: {"a": 1.0, "omega_T": 1.0, "b": 1.0},
-    Family.SEXTIC_QES: {"omega_T": 1.0, "b": 1.0},
-    Family.DEFORMED_COULOMB_QES: {"e2": 1.0, "omega_T": 1.0},
-}
-
-_SOLVABLE = (Family.OSCILLATOR, Family.COULOMB, Family.MORSE)
-
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
@@ -105,7 +84,11 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved invocation: model, window, level count, method, output."""
+    """Fully-resolved invocation: model, window, level count, method, output.
+
+    The lower problem (W, the partner potentials V-+ and the V- operator) is
+    built on first use and shared by the command and every verify check.
+    """
 
     model: ModelSpec
     grid: RadialGrid
@@ -115,68 +98,33 @@ class RunConfig:
     output_format: str   # csv | json
     checks: tuple
 
+    @cached_property
+    def superpotential(self) -> Superpotential:
+        return superpotential_from_model(self.model)
+
+    @cached_property
+    def partners(self) -> PartnerPotentials:
+        return partner_potentials(self.superpotential, self.grid)
+
+    @cached_property
+    def operator(self) -> TridiagonalOperator:
+        return discretize(self.partners.v_minus, self.grid)
+
+    @cached_property
+    def zero_mode(self) -> np.ndarray:
+        """Closed-form zero mode: the QES formula, else exp(-int W)."""
+        if self.model.is_qes:
+            return _qes.qes_ground_state(self.model, self.grid).f0
+        return ground_state_from_w(self.superpotential, self.grid)
+
 
 # --------------------------------------------------------------------------
 # Default windows
 
 
-def _decay_r_max(exponent_fn, r_lo: float) -> float:
-    """Smallest radius (plus 30% margin) where exp(exponent) drops 1e-10
-    below its peak; used to size windows for superpolynomially decaying
-    zero modes."""
-    target = math.log(1e10)
-    r_hi = max(4.0 * r_lo, 4.0)
-    for _ in range(60):
-        rs = np.linspace(r_lo, r_hi, 2001)
-        g = exponent_fn(rs)
-        drop = np.max(g) - g
-        idx = np.nonzero(drop >= target)[0]
-        # require the drop to happen on the right flank, past the peak
-        idx = idx[idx > int(np.argmax(g))]
-        if len(idx):
-            return 1.3 * float(rs[idx[0]])
-        r_hi *= 2.0
-    raise NumericError("could not find a decaying window for the zero mode")
-
-
 def default_grid(model: ModelSpec, n_max: int) -> RadialGrid:
     """Documented default window per family, scaled to the model parameters."""
-    p, ell, u = model.params, model.ell, model.units
-
-    if model.family is Family.OSCILLATOR:
-        lam = u.mass * omega_total(p["omega"], p["B"], u) / u.hbar
-        s = math.sqrt(lam)
-        return RadialGrid(1e-4 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
-
-    if model.family is Family.COULOMB:
-        kappa = p["kappa"]
-        n_r = n_max + ell + 1
-        return RadialGrid(1e-4 / kappa, (2.0 * n_r**2 + 21.0 * n_r) / kappa, 16001)
-
-    if model.family is Family.MORSE:
-        alpha, b = p["alpha"], p["b"]
-        k_min = b / alpha - min(n_max, _analytic.morse_max_level(model))
-        return RadialGrid(-10.0 / alpha, (10.0 + 25.0 / k_min) / alpha, 8001)
-
-    if model.family is Family.ANHARMONIC_QES:
-        a, w_t, b = p["a"], p["omega_T"], p["b"]
-        r_max = _decay_r_max(lambda r: -(b * r**3 / 3.0 + w_t * r**2 / 2.0 + a * r), 0.0)
-        return RadialGrid(0.0, r_max, 6001)
-
-    if model.family is Family.SEXTIC_QES:
-        w_t, b = p["omega_T"], p["b"]
-        r_max = _decay_r_max(
-            lambda r: ell * np.log(np.maximum(r, 1e-12)) - w_t * r**2 / 2.0 - b * r**4 / 4.0,
-            1e-5,
-        )
-        return RadialGrid(1e-5, r_max, 6001)
-
-    if model.family is Family.DEFORMED_COULOMB_QES:
-        scale = max(p["omega_T"], p["e2"] / (2.0 * (ell + 1.0)))
-        return RadialGrid(1e-3, 20.0 / scale, 8001)
-
-    # custom: the tabulated window is the only sensible default
-    return model.params["grid"]
+    return model.record.window(model, n_max)
 
 
 # --------------------------------------------------------------------------
@@ -199,94 +147,70 @@ def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
         wall_ok = False
     if wall_ok:
         selected.add("isospectral")
-        if model.family is not Family.CUSTOM:
+        if model.record.closed_form != "none":
             selected.add("analytic_vs_numeric")
     return tuple(c for c in CANONICAL_CHECKS if c in selected)
 
 
-def _check_isospectral(model, grid, n_max):
-    pp = partner_potentials(superpotential_from_model(model), grid)
-    rep = isospectral_check(pp.v_minus, pp.v_plus, grid, k=4,
+def _check_isospectral(cfg):
+    rep = isospectral_check(cfg.partners.v_minus, cfg.partners.v_plus, cfg.grid, k=4,
                             tol=CHECK_TOLERANCES["isospectral"])
     detail = "pair deviations " + ", ".join(f"{d:.3e}" for d in rep.deviations)
     return rep.max_abs_deviation, rep.tolerance, detail
 
 
-def _check_intertwine(model, grid, n_max):
-    sp = superpotential_from_model(model)
-    pp = partner_potentials(sp, grid)
-    op = discretize(pp.v_minus, grid)
+def _check_intertwine(cfg):
+    op = cfg.operator
     eigs = lowest_eigenvalues(op, 4)
     worst = 0.0
     for i in (1, 2, 3):
         if eigs[i] <= 0:
             continue
         vec = eigenvector(op, eigs[i])
-        img = apply_lowering(sp, vec, grid)
-        nrm = math.sqrt(quadrature(img * img, grid))
+        img = apply_lowering(cfg.superpotential, vec, cfg.grid)
+        nrm = math.sqrt(quadrature(img * img, cfg.grid))
         worst = max(worst, abs(nrm - math.sqrt(eigs[i])) / math.sqrt(eigs[i]))
     return worst, CHECK_TOLERANCES["intertwine"], "relative norm defect of lowered levels 1-3"
 
 
-def _check_orthonormal(model, grid, n_max):
-    if model.family in _SOLVABLE:
-        count = 5
-        if model.family is Family.MORSE:
-            count = min(count, _analytic.morse_max_level(model) + 1)
-        lows = []
-        for n in range(count):
-            f = _analytic.analytic_wavefunctions(model, n, grid).f_minus
-            lows.append(f / math.sqrt(quadrature(f * f, grid)))
-        dim = len(lows)
-        gram = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                gram[i, j] = gram[j, i] = quadrature(lows[i] * lows[j], grid)
-        metric = float(np.max(np.abs(gram - np.eye(dim))))
-        return metric, CHECK_TOLERANCES["orthonormal"], \
-            f"lower-component Gram of levels 0-{dim - 1} vs identity"
-    # numeric eigenvectors, compared in the discrete l2(h) inner product
-    pp = partner_potentials(superpotential_from_model(model), grid)
-    op = discretize(pp.v_minus, grid)
-    eigs = lowest_eigenvalues(op, 3)
-    h = grid.h
-    vecs = []
-    for lam in eigs:
-        v = eigenvector(op, lam)
-        vecs.append(v / math.sqrt(h * float(v @ v)))
-    gram = h * np.array([[vi @ vj for vj in vecs] for vi in vecs])
-    metric = float(np.max(np.abs(gram - np.eye(len(vecs)))))
-    return metric, CHECK_TOLERANCES["orthonormal_numeric"], "l2(h) Gram of numeric levels 0-2"
-
-
-def _check_ground_residual(model, grid, n_max):
-    if model.is_qes:
-        residual = _qes.qes_ground_state(model, grid).residual_sup
+def _check_orthonormal(cfg):
+    model, grid = cfg.model, cfg.grid
+    if model.record.closed_form == "all":
+        fs = [_analytic.analytic_wavefunctions(model, n, grid).f_minus
+              for n in range(min(5, model.max_level + 1))]
+        vecs = [f / math.sqrt(quadrature(f * f, grid)) for f in fs]
+        gram = np.array([[quadrature(vi * vj, grid) for vj in vecs] for vi in vecs])
+        tol = CHECK_TOLERANCES["orthonormal"]
+        detail = f"lower-component Gram of levels 0-{len(vecs) - 1} vs identity"
     else:
-        sp = superpotential_from_model(model)
-        f0 = ground_state_from_w(sp, grid)
-        v_minus = partner_potentials(sp, grid).v_minus
+        # numeric eigenvectors, compared in the discrete l2(h) inner product
         h = grid.h
-        lap = (f0[2:] - 2.0 * f0[1:-1] + f0[:-2]) / h**2
-        residual = float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1]))
-                         / np.max(np.abs(f0)))
-    tol = CHECK_TOLERANCES["ground_residual_h2"] * grid.h**2
+        vs = [eigenvector(cfg.operator, lam) for lam in lowest_eigenvalues(cfg.operator, 3)]
+        vecs = [v / math.sqrt(h * float(v @ v)) for v in vs]
+        gram = h * np.array([[vi @ vj for vj in vecs] for vi in vecs])
+        tol = CHECK_TOLERANCES["orthonormal_numeric"]
+        detail = "l2(h) Gram of numeric levels 0-2"
+    return float(np.max(np.abs(gram - np.eye(len(vecs))))), tol, detail
+
+
+def _check_ground_residual(cfg):
+    residual = _qes.zero_mode_residual(cfg.zero_mode, cfg.partners.v_minus, cfg.grid)
+    tol = CHECK_TOLERANCES["ground_residual_h2"] * cfg.grid.h**2
     return residual, tol, "sup residual of the zero mode at epsilon^2 = 0"
 
 
-def _check_analytic_vs_numeric(model, grid, n_max):
-    pp = partner_potentials(superpotential_from_model(model), grid)
-    op = discretize(pp.v_minus, grid)
-    if model.is_qes:
+def _check_analytic_vs_numeric(cfg):
+    op = cfg.operator
+    if cfg.model.is_qes:
         level0 = lowest_eigenvalues(op, 1)[0]
         return abs(level0), CHECK_TOLERANCES["analytic_vs_numeric_qes"], \
             "numeric level 0 against the closed-form zero mode"
-    k = n_max + 1
+    k = cfg.n_max + 1
     nums = lowest_eigenvalues(op, k)
-    anas = [_analytic.analytic_epsilon_sq(model, n) for n in range(k)]
+    anas = [_analytic.analytic_epsilon_sq(cfg.model, n) for n in range(k)]
     metric = max(abs(nu - an) / max(1.0, abs(an)) for nu, an in zip(nums, anas))
     return metric, CHECK_TOLERANCES["analytic_vs_numeric"], \
-        f"levels 0-{n_max}, relative to max(1, epsilon^2)"
+        f"levels 0-{cfg.n_max}, relative to max(1, epsilon^2)"
 
 
 _CHECK_RUNNERS = {
@@ -297,6 +221,9 @@ _CHECK_RUNNERS = {
     "analytic_vs_numeric": _check_analytic_vs_numeric,
 }
 
+#: every check, in report order
+CANONICAL_CHECKS = tuple(_CHECK_RUNNERS)
+
 
 def run_verification(cfg: RunConfig) -> dict:
     """Execute the configured checks; returns the report payload."""
@@ -304,23 +231,14 @@ def run_verification(cfg: RunConfig) -> dict:
     infrastructure_failed = False
     for name in cfg.checks:
         try:
-            metric, tol, detail = _CHECK_RUNNERS[name](cfg.model, cfg.grid, cfg.n_max)
-            entries.append({
-                "check": name,
-                "status": "pass" if metric < tol else "fail",
-                "metric": float(metric),
-                "tolerance": float(tol),
-                "detail": detail,
-            })
+            metric, tol, detail = _CHECK_RUNNERS[name](cfg)
+            status = "pass" if metric < tol else "fail"
+            metric, tol = float(metric), float(tol)
         except Exception as exc:  # infrastructure failure inside a check
             infrastructure_failed = True
-            entries.append({
-                "check": name,
-                "status": "fail",
-                "metric": None,
-                "tolerance": None,
-                "detail": f"error: {exc}",
-            })
+            status, metric, tol, detail = "fail", None, None, f"error: {exc}"
+        entries.append({"check": name, "status": status, "metric": metric,
+                        "tolerance": tol, "detail": detail})
     all_passed = all(e["status"] == "pass" for e in entries)
     return {
         "entries": entries,
@@ -334,78 +252,57 @@ def run_verification(cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    model, n_max = cfg.model, cfg.n_max
+    model, n_max, name = cfg.model, cfg.n_max, cfg.model.family.value
     ana = nums = None
     if cfg.method in ("analytic", "both"):
-        if model.family is Family.CUSTOM:
-            raise UsageError("custom models have no analytic spectrum; use --method numeric")
+        if model.record.closed_form == "none":
+            raise UsageError(f"{name} models have no analytic spectrum; use --method numeric")
         if model.is_qes and n_max >= 1:
             raise UsageError(
-                f"{model.family.value} has only its ground state in closed form; "
+                f"{name} has only its ground state in closed form; "
                 "use --method numeric (or --n-max 0)"
             )
-        if model.family is Family.MORSE and n_max > _analytic.morse_max_level(model):
-            raise UsageError(
-                f"morse tower ends at n={_analytic.morse_max_level(model)}; lower --n-max"
-            )
-        ana = [_analytic.analytic_epsilon_sq(model, n) for n in range(n_max + 1)]
+        if n_max > model.max_level:
+            raise UsageError(f"{name} tower ends at n={model.max_level}; lower --n-max")
+        ana = _analytic.analytic_spectrum(model, n_max).levels
     if cfg.method in ("numeric", "both"):
-        pp = partner_potentials(superpotential_from_model(model), cfg.grid)
-        nums = lowest_eigenvalues(discretize(pp.v_minus, cfg.grid), n_max + 1)
+        nums = spectrum_result(lowest_eigenvalues(cfg.operator, n_max + 1), model.units,
+                               Source.NUMERIC).levels
 
-    u = cfg.model.units
     rows = []
     for n in range(n_max + 1):
         if ana is not None:
-            ep, em = _energy_pair_row(ana[n], u)
-            rows.append({"n": n, "epsilon_sq": ana[n], "energy_plus": ep,
-                         "energy_minus": em, "source": "analytic", "delta": None})
+            rows.append(dict(vars(ana[n]), source="analytic", delta=None))
         if nums is not None:
-            ep, em = _energy_pair_row(nums[n], u)
-            delta = (nums[n] - ana[n]) if ana is not None else None
-            rows.append({"n": n, "epsilon_sq": nums[n], "energy_plus": ep,
-                         "energy_minus": em, "source": "numeric", "delta": delta})
+            delta = (nums[n].epsilon_sq - ana[n].epsilon_sq) if ana is not None else None
+            rows.append(dict(vars(nums[n]), source="numeric", delta=delta))
     return rows
-
-
-def _energy_pair_row(eps_sq: float, units):
-    return _energy_pair(float(eps_sq), units)
 
 
 def cmd_wavefunction(cfg: RunConfig):
     model, grid, n = cfg.model, cfg.grid, cfg.n
     if cfg.method == "both":
         raise UsageError("wavefunction needs --method analytic or numeric, not both")
-    if cfg.method == "analytic":
-        if model.family in _SOLVABLE:
-            wf = _analytic.analytic_wavefunctions(model, n, grid)
-            eps_sq, f_m, f_p = wf.epsilon_sq, wf.f_minus, wf.f_plus
-        elif model.is_qes:
-            if n != 0:
-                raise UsageError(
-                    f"{model.family.value} has only n=0 in closed form; use --method numeric"
-                )
-            gs = _qes.qes_ground_state(model, grid)
-            eps_sq, f_m, f_p = 0.0, gs.f0, np.zeros_like(gs.f0)
-        else:
-            if n != 0:
-                raise UsageError("custom models only expose the n=0 zero mode analytically")
-            sp = superpotential_from_model(model)
-            f_m = ground_state_from_w(sp, grid)
-            eps_sq, f_p = 0.0, np.zeros_like(f_m)
+    if cfg.method == "analytic" and model.record.closed_form == "all":
+        wf = _analytic.analytic_wavefunctions(model, n, grid)
+        eps_sq, f_m, f_p = wf.epsilon_sq, wf.f_minus, wf.f_plus
+    elif cfg.method == "analytic":  # only the zero mode is known in closed form
+        name = model.family.value
+        if n != 0:
+            raise UsageError(f"{name} has only n=0 in closed form; use --method numeric"
+                             if model.is_qes else
+                             f"{name} models only expose the n=0 zero mode analytically")
+        eps_sq, f_m, f_p = 0.0, cfg.zero_mode, np.zeros_like(cfg.zero_mode)
     else:
-        sp = superpotential_from_model(model)
-        pp = partner_potentials(sp, grid)
-        op = discretize(pp.v_minus, grid)
-        eigs = lowest_eigenvalues(op, n + 1)
-        eps_sq = eigs[n]
+        op = cfg.operator
+        eps_sq = lowest_eigenvalues(op, n + 1)[n]
         f_m = eigenvector(op, eps_sq)
         if n == 0:
             f_p = np.zeros_like(f_m)
         else:
             if eps_sq <= 0:
                 raise DomainError("cannot form the upper component at epsilon^2 <= 0")
-            f_p = apply_lowering(sp, f_m, grid) / math.sqrt(eps_sq)
+            f_p = apply_lowering(cfg.superpotential, f_m, grid) / math.sqrt(eps_sq)
         scale = 1.0 / math.sqrt(quadrature(f_m * f_m + f_p * f_p, grid))
         f_m, f_p = f_m * scale, f_p * scale
     r = grid.points()
@@ -413,8 +310,8 @@ def cmd_wavefunction(cfg: RunConfig):
 
 
 def cmd_partner(cfg: RunConfig):
-    pp = partner_potentials(superpotential_from_model(cfg.model), cfg.grid)
-    return {"r": cfg.grid.points(), "v_minus": pp.v_minus, "v_plus": pp.v_plus}
+    return {"r": cfg.grid.points(), "v_minus": cfg.partners.v_minus,
+            "v_plus": cfg.partners.v_plus}
 
 
 # --------------------------------------------------------------------------
@@ -506,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "model", "format", "omega", "B", "ell", "kappa", "a", "b", "alpha", "e2",
-    "omega_t", "grid", "n_max", "n", "method", "checks",
-    "w_samples", "w_prime_samples",
-}
+#: model parameters whose flag and config key are spelled differently
+_PARAM_KEYS = {"omega_T": "omega_t"}
+
+_CONFIG_KEYS = {"model", "format", "ell", "grid", "n_max", "n", "method", "checks",
+                "w_samples", "w_prime_samples",
+                *(_PARAM_KEYS.get(k, k) for rec in FAMILIES.values() for k in rec.params)}
 
 
 def _load_config_file(path: str) -> dict:
@@ -530,8 +428,6 @@ def _load_config_file(path: str) -> dict:
 
 
 def _parse_grid(value) -> RadialGrid:
-    if isinstance(value, RadialGrid):
-        return value
     if isinstance(value, str):
         parts = value.split(",")
     elif isinstance(value, (list, tuple)):
@@ -568,17 +464,12 @@ def resolve_config(args) -> RunConfig:
     except ValueError:
         raise UsageError(f"unknown model family {family_name!r}")
 
+    record = FAMILIES[family]
     ell = int(_setting(args, file_cfg, "ell", 0))
-    params = dict(FAMILY_PARAM_DEFAULTS.get(family, {}))
-    for key in ("omega", "B", "kappa", "a", "b", "alpha", "e2"):
-        val = _setting(args, file_cfg, key)
-        if val is not None:
-            params[key] = float(val)
-    omega_t = _setting(args, file_cfg, "omega_t")
-    if omega_t is not None:
-        params["omega_T"] = float(omega_t)
-
+    params = {key: float(_setting(args, file_cfg, _PARAM_KEYS.get(key, key), default))
+              for key, default in record.params.items()}
     grid_setting = _setting(args, file_cfg, "grid")
+    n_max = _setting(args, file_cfg, "n_max")
 
     try:
         if family is Family.CUSTOM:
@@ -588,45 +479,24 @@ def resolve_config(args) -> RunConfig:
                 )
             if grid_setting is None:
                 raise UsageError("custom model needs an explicit grid")
-            grid = _parse_grid(grid_setting)
-            model = custom_model(grid, file_cfg["w_samples"], file_cfg["w_prime_samples"])
-        elif family is Family.OSCILLATOR:
-            model = oscillator_model(params["omega"], params["B"], ell)
-        elif family is Family.COULOMB:
-            model = coulomb_model(params["kappa"], ell)
-        elif family is Family.MORSE:
-            model = morse_model(params["a"], params["alpha"], params["b"])
-        elif family is Family.ANHARMONIC_QES:
-            model = anharmonic_model(params["a"], params["omega_T"], params["b"])
-        elif family is Family.SEXTIC_QES:
-            model = sextic_model(params["omega_T"], params["b"], ell)
+            model = custom_model(_parse_grid(grid_setting), file_cfg["w_samples"],
+                                 file_cfg["w_prime_samples"])
         else:
-            model = deformed_coulomb_model(params["e2"], params["omega_T"], ell)
-    except (ConfigurationError, DomainError, KeyError) as exc:
+            model = ModelSpec(family, params, ell if record.has_ell else 0)
+        n_max = int(min(4, model.max_level) if n_max is None else n_max)
+        if n_max < 0:
+            raise UsageError("--n-max must be nonnegative")
+        if grid_setting is not None:
+            grid = _parse_grid(grid_setting)
+        else:
+            grid = default_grid(model, n_max)
+    except (ConfigurationError, DomainError, NumericError) as exc:
         raise UsageError(f"invalid model configuration: {exc}")
 
-    n_max = _setting(args, file_cfg, "n_max")
-    if n_max is None:
-        n_max = 4
-        if family is Family.MORSE:
-            n_max = min(n_max, _analytic.morse_max_level(model))
-    n_max = int(n_max)
-    if n_max < 0:
-        raise UsageError("--n-max must be nonnegative")
-
-    if family is Family.CUSTOM:
-        grid = model.params["grid"]
-        if grid_setting is not None and _parse_grid(grid_setting) != grid:
-            raise UsageError("custom model grid is fixed by the tabulated samples")
-    elif grid_setting is not None:
-        grid = _parse_grid(grid_setting)
-    else:
-        grid = default_grid(model, n_max)
-
     # closed forms cover every level only for the fully solvable families
-    default_method = "both" if model.family in _SOLVABLE else "numeric"
+    default_method = "both" if record.closed_form == "all" else "numeric"
     if args.command == "wavefunction":
-        default_method = "numeric" if family is Family.CUSTOM else "analytic"
+        default_method = "numeric" if record.closed_form == "none" else "analytic"
     method = _setting(args, file_cfg, "method", default_method)
     if method not in ("analytic", "numeric", "both"):
         raise UsageError(f"unknown method {method!r}")
@@ -647,9 +517,16 @@ def resolve_config(args) -> RunConfig:
         bad = [c for c in names if c not in CANONICAL_CHECKS]
         if bad:
             raise UsageError(f"unknown checks: {', '.join(bad)}")
-        if family is Family.CUSTOM and "analytic_vs_numeric" in names:
-            raise UsageError("custom models cannot run analytic_vs_numeric")
+        if record.closed_form == "none" and "analytic_vs_numeric" in names:
+            raise UsageError(f"{family.value} models cannot run analytic_vs_numeric")
         checks = tuple(c for c in CANONICAL_CHECKS if c in names)
+
+    # the numeric spectrum and the level comparison solve n_max + 1 levels
+    solved = "analytic_vs_numeric" in checks or (args.command == "spectrum"
+                                                 and method != "analytic")
+    if solved and n_max + 1 > grid.n_points - 2:
+        raise UsageError(f"--n-max {n_max} needs {n_max + 1} levels, but the grid has "
+                         f"{grid.n_points - 2} interior points")
 
     n = int(_setting(args, file_cfg, "n", 0))
     if n < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_points < 3:
             raise ConfigurationError("a radial grid needs at least 3 points")
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ConfigurationError("grid ends must be finite")
         if not self.r_min < self.r_max:
             raise ConfigurationError("grid requires r_min < r_max")
 
@@ -90,17 +92,6 @@ class Family(enum.Enum):
     CUSTOM = "custom"
 
 
-#: Families with only the ground state known in closed form.
-QES_FAMILIES = frozenset(
-    {Family.ANHARMONIC_QES, Family.SEXTIC_QES, Family.DEFORMED_COULOMB_QES}
-)
-
-#: Families whose superpotential is singular at the origin; grids must keep r_min > 0.
-SINGULAR_FAMILIES = frozenset(
-    {Family.OSCILLATOR, Family.COULOMB, Family.SEXTIC_QES, Family.DEFORMED_COULOMB_QES}
-)
-
-
 def omega_total(omega: float, B: float, units: Units = NATURAL_UNITS) -> float:
     """Total oscillator frequency: mechanical omega plus the Larmor term e*B/(2m)."""
     if omega < 0 or B < 0:
@@ -108,93 +99,252 @@ def omega_total(omega: float, B: float, units: Units = NATURAL_UNITS) -> float:
     return omega + units.e_charge * B / (2.0 * units.mass)
 
 
-def _validate_oscillator(spec: "ModelSpec") -> None:
-    p = spec.params
-    omega, B = p["omega"], p["B"]
-    if omega < 0 or B < 0:
-        raise ConfigurationError("oscillator requires omega >= 0 and B >= 0")
-    if not omega_total(omega, B, spec.units) > 0:
-        raise ConfigurationError("oscillator requires omega_T = omega + eB/2m > 0")
-    if spec.ell < 0:
-        raise ConfigurationError("oscillator requires ell >= 0")
+@dataclass(frozen=True)
+class Superpotential:
+    """W(r) with its derivative and singular/regular split.
+
+    `singular_coefficient` is the total coefficient of 1/r in W (angular plus
+    any centrifugal-like part of v); `w_regular` is W minus that singular
+    term, which stays finite at the origin and integrates cleanly.
+    """
+
+    w: Callable
+    w_prime: Callable
+    singular_coefficient: float
+    w_regular: Callable
 
 
-def _validate_coulomb(spec: "ModelSpec") -> None:
-    if not spec.params["kappa"] > 0:
-        raise ConfigurationError("coulomb requires kappa > 0")
-    if spec.ell < 0:
-        raise ConfigurationError("coulomb requires ell >= 0")
+@dataclass(frozen=True)
+class FamilyRecord:
+    """Everything the package knows about one family, keyed by `Family` in FAMILIES.
+
+    params: parameter names, each with its command-line default.
+    rules: (test, message) pairs checked in order by ModelSpec; a test that
+        returns False on the spec raises ConfigurationError(message).
+    superpotential: spec -> Superpotential, the closed form of W.
+    window: (spec, n_max) -> the default RadialGrid.
+    closed_form: which levels are known in closed form: "all" (spectrum and
+        states), "ground" (only the zero mode: the QES families) or "none".
+    epsilon_sq: (spec, n) -> closed-form epsilon^2_n of an "all" family.
+    tower_top: spec -> highest bound level of a finite tower; None when the
+        tower does not end.
+    log_zero_mode: (spec, r) -> log f_0 up to a constant, for "ground" families.
+    has_ell: ell is a free label (it must then be >= 0); otherwise it is 0.
+    """
+
+    params: Mapping
+    rules: tuple
+    superpotential: Callable
+    window: Callable
+    closed_form: str = "all"
+    epsilon_sq: Callable | None = None
+    tower_top: Callable | None = None
+    log_zero_mode: Callable | None = None
+    has_ell: bool = True
 
 
-def _validate_morse(spec: "ModelSpec") -> None:
-    p = spec.params
-    if not (p["a"] > 0 and p["alpha"] > 0 and p["b"] > 0):
-        raise ConfigurationError("morse requires a > 0, alpha > 0, b > 0")
+def _omega_t(m: "ModelSpec") -> float:
+    return omega_total(m.params["omega"], m.params["B"], m.units)
 
 
-def _validate_anharmonic(spec: "ModelSpec") -> None:
-    p = spec.params
-    # b = 0 is admitted as the harmonic limit (omega_T > 0 keeps the zero
-    # mode normalizable); it is needed as a comparator configuration.
-    if not p["omega_T"] > 0:
-        raise ConfigurationError("anharmonic requires omega_T > 0")
-    if p["b"] < 0:
-        raise ConfigurationError("anharmonic requires b >= 0")
+def _oscillator_w(m: "ModelSpec") -> Superpotential:
+    lam = m.units.mass * _omega_t(m) / m.units.hbar
+    c = -(m.ell + 1.0)
+    return Superpotential(lambda r: lam * r + c / r, lambda r: lam - c / r**2, c,
+                          lambda r: lam * r)
 
 
-def _validate_sextic(spec: "ModelSpec") -> None:
-    p = spec.params
-    if not p["omega_T"] > 0:
-        raise ConfigurationError("sextic requires omega_T > 0")
-    if p["b"] < 0:
-        raise ConfigurationError("sextic requires b >= 0")
-    if spec.ell < 0:
-        raise ConfigurationError("sextic requires ell >= 0")
+def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
+    s = math.sqrt(m.units.mass * _omega_t(m) / m.units.hbar)
+    return RadialGrid(1e-4 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
 
 
-def _validate_deformed_coulomb(spec: "ModelSpec") -> None:
-    p = spec.params
-    if not p["e2"] > 0:
-        raise ConfigurationError("deformed-coulomb requires e2 > 0")
-    if p["omega_T"] < 0:
-        raise ConfigurationError("deformed-coulomb requires omega_T >= 0")
-    if spec.ell < 0:
-        raise ConfigurationError("deformed-coulomb requires ell >= 0")
+def _coulomb_w(m: "ModelSpec") -> Superpotential:
+    const = m.params["kappa"] / (m.ell + 1.0)
+    c = -(m.ell + 1.0)
+    return Superpotential(lambda r: const + c / r, lambda r: -c / r**2, c,
+                          lambda r: const + 0.0 * r)
 
 
-def _validate_custom(spec: "ModelSpec") -> None:
-    p = spec.params
-    for key in ("grid", "w_samples", "w_prime_samples"):
-        if key not in p or p[key] is None:
-            raise ConfigurationError(
-                "custom family requires tabulated 'grid', 'w_samples' and 'w_prime_samples'"
-            )
-    grid = p["grid"]
-    if not isinstance(grid, RadialGrid):
-        raise ConfigurationError("custom 'grid' must be a RadialGrid")
-    for key in ("w_samples", "w_prime_samples"):
-        if len(p[key]) != grid.n_points:
-            raise ConfigurationError(f"custom {key} must have grid.n_points entries")
+def _coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
+    kappa, n_r = m.params["kappa"], n_max + m.ell + 1
+    return RadialGrid(1e-4 / kappa, (2.0 * n_r**2 + 21.0 * n_r) / kappa, 16001)
 
 
-_VALIDATORS = {
-    Family.OSCILLATOR: _validate_oscillator,
-    Family.COULOMB: _validate_coulomb,
-    Family.MORSE: _validate_morse,
-    Family.ANHARMONIC_QES: _validate_anharmonic,
-    Family.SEXTIC_QES: _validate_sextic,
-    Family.DEFORMED_COULOMB_QES: _validate_deformed_coulomb,
-    Family.CUSTOM: _validate_custom,
-}
+def _morse_w(m: "ModelSpec") -> Superpotential:
+    a, alpha, b = m.params["a"], m.params["alpha"], m.params["b"]
+    w = lambda r: b - a * np.exp(-alpha * r)
+    return Superpotential(w, lambda r: a * alpha * np.exp(-alpha * r), 0.0, w)
 
-_REQUIRED_PARAMS = {
-    Family.OSCILLATOR: ("omega", "B"),
-    Family.COULOMB: ("kappa",),
-    Family.MORSE: ("a", "alpha", "b"),
-    Family.ANHARMONIC_QES: ("a", "omega_T", "b"),
-    Family.SEXTIC_QES: ("omega_T", "b"),
-    Family.DEFORMED_COULOMB_QES: ("e2", "omega_T"),
-    Family.CUSTOM: (),
+
+def _morse_top(m: "ModelSpec") -> int:
+    """Largest n with b - alpha n > 0 (the Morse tower is finite)."""
+    return max(0, math.ceil(m.params["b"] / m.params["alpha"] - 1e-12) - 1)
+
+
+def _morse_epsilon_sq(m: "ModelSpec", n: int) -> float:
+    alpha, b = m.params["alpha"], m.params["b"]
+    if not b - alpha * n > 0:
+        raise NoBoundStateError(
+            f"morse level n={n} is not bound (requires b - alpha*n > 0; "
+            f"highest bound level is n={_morse_top(m)})"
+        )
+    return alpha * n * (2.0 * b - alpha * n)
+
+
+def _morse_window(m: "ModelSpec", n_max: int) -> RadialGrid:
+    alpha = m.params["alpha"]
+    k_min = m.params["b"] / alpha - min(n_max, _morse_top(m))
+    return RadialGrid(-10.0 / alpha, (10.0 + 25.0 / k_min) / alpha, 8001)
+
+
+def _anharmonic_w(m: "ModelSpec") -> Superpotential:
+    a, w_t, b = m.params["a"], m.params["omega_T"], m.params["b"]
+    w = lambda r: a + w_t * r + b * r**2
+    return Superpotential(w, lambda r: w_t + 2.0 * b * r, 0.0, w)
+
+
+def _sextic_w(m: "ModelSpec") -> Superpotential:
+    w_t, b = m.params["omega_T"], m.params["b"]
+    c = -float(m.ell)
+    return Superpotential(lambda r: c / r + w_t * r + b * r**3,
+                          lambda r: -c / r**2 + w_t + 3.0 * b * r**2, c,
+                          lambda r: w_t * r + b * r**3)
+
+
+def _deformed_coulomb_w(m: "ModelSpec") -> Superpotential:
+    const = m.params["e2"] / (2.0 * (m.ell + 1.0))
+    w_t = m.params["omega_T"]
+    c = -(m.ell + 1.0)
+    return Superpotential(lambda r: const + c / r + w_t * r, lambda r: -c / r**2 + w_t, c,
+                          lambda r: const + w_t * r)
+
+
+def _log_r(m: "ModelSpec", r: np.ndarray) -> np.ndarray:
+    if r[0] <= 0.0:
+        raise DomainError(f"{m.family.value} zero mode requires r_min > 0")
+    return np.log(r)
+
+
+def _decay_r_max(m: "ModelSpec", r_lo: float) -> float:
+    """Smallest radius (plus 30% margin) where the closed-form zero mode
+    drops 1e-10 below its peak; sizes windows for superpolynomially decaying
+    zero modes."""
+    target = math.log(1e10)
+    r_hi = max(4.0 * r_lo, 4.0)
+    for _ in range(60):
+        rs = np.linspace(r_lo, r_hi, 2001)
+        g = m.record.log_zero_mode(m, rs)
+        drop = np.max(g) - g
+        idx = np.nonzero(drop >= target)[0]
+        # require the drop to happen on the right flank, past the peak
+        idx = idx[idx > int(np.argmax(g))]
+        if len(idx):
+            return 1.3 * float(rs[idx[0]])
+        r_hi *= 2.0
+    raise NumericError("could not find a decaying window for the zero mode")
+
+
+def _custom_w(m: "ModelSpec") -> Superpotential:
+    """Tabulated samples, linearly interpolated."""
+    rs = m.params["grid"].points()
+
+    def interpolant(samples):
+        ys = np.asarray(samples, dtype=float)
+
+        def f(r):
+            out = np.interp(np.asarray(r, dtype=float), rs, ys)
+            return float(out) if np.isscalar(r) else out
+        return f
+
+    w = interpolant(m.params["w_samples"])
+    return Superpotential(w, interpolant(m.params["w_prime_samples"]), 0.0, w)
+
+
+FAMILIES = {
+    Family.OSCILLATOR: FamilyRecord(
+        params={"omega": 1.0, "B": 0.0},
+        rules=(
+            (lambda m: m.params["omega"] >= 0 and m.params["B"] >= 0,
+             "oscillator requires omega >= 0 and B >= 0"),
+            (lambda m: _omega_t(m) > 0, "oscillator requires omega_T = omega + eB/2m > 0"),
+        ),
+        superpotential=_oscillator_w,
+        window=_oscillator_window,
+        epsilon_sq=lambda m, n: 4.0 * n * m.units.mass * _omega_t(m) / m.units.hbar,
+    ),
+    Family.COULOMB: FamilyRecord(
+        params={"kappa": 1.0},
+        rules=((lambda m: m.params["kappa"] > 0, "coulomb requires kappa > 0"),),
+        superpotential=_coulomb_w,
+        window=_coulomb_window,
+        epsilon_sq=lambda m, n: m.params["kappa"]**2 * (
+            1.0 / (m.ell + 1.0) ** 2 - 1.0 / (n + m.ell + 1.0) ** 2),
+    ),
+    Family.MORSE: FamilyRecord(
+        params={"a": 3.0, "alpha": 1.0, "b": 3.0},
+        rules=((lambda m: m.params["a"] > 0 and m.params["alpha"] > 0 and m.params["b"] > 0,
+                "morse requires a > 0, alpha > 0, b > 0"),),
+        superpotential=_morse_w,
+        window=_morse_window,
+        epsilon_sq=_morse_epsilon_sq,
+        tower_top=_morse_top,
+        has_ell=False,
+    ),
+    Family.ANHARMONIC_QES: FamilyRecord(
+        params={"a": 1.0, "omega_T": 1.0, "b": 1.0},
+        # b = 0 is admitted as the harmonic limit (omega_T > 0 keeps the zero
+        # mode normalizable); it is needed as a comparator configuration.
+        rules=((lambda m: m.params["omega_T"] > 0, "anharmonic requires omega_T > 0"),
+               (lambda m: m.params["b"] >= 0, "anharmonic requires b >= 0")),
+        superpotential=_anharmonic_w,
+        window=lambda m, n_max: RadialGrid(0.0, _decay_r_max(m, 0.0), 6001),
+        closed_form="ground",
+        log_zero_mode=lambda m, r: -(m.params["b"] * r**3 / 3.0
+                                     + m.params["omega_T"] * r**2 / 2.0 + m.params["a"] * r),
+        has_ell=False,
+    ),
+    Family.SEXTIC_QES: FamilyRecord(
+        params={"omega_T": 1.0, "b": 1.0},
+        rules=((lambda m: m.params["omega_T"] > 0, "sextic requires omega_T > 0"),
+               (lambda m: m.params["b"] >= 0, "sextic requires b >= 0")),
+        superpotential=_sextic_w,
+        window=lambda m, n_max: RadialGrid(1e-5, _decay_r_max(m, 1e-5), 6001),
+        closed_form="ground",
+        log_zero_mode=lambda m, r: (m.ell * _log_r(m, r) - m.params["omega_T"] * r**2 / 2.0
+                                    - m.params["b"] * r**4 / 4.0),
+    ),
+    Family.DEFORMED_COULOMB_QES: FamilyRecord(
+        params={"e2": 1.0, "omega_T": 1.0},
+        rules=((lambda m: m.params["e2"] > 0, "deformed-coulomb requires e2 > 0"),
+               (lambda m: m.params["omega_T"] >= 0, "deformed-coulomb requires omega_T >= 0")),
+        superpotential=_deformed_coulomb_w,
+        window=lambda m, n_max: RadialGrid(
+            1e-3, 20.0 / max(m.params["omega_T"], m.params["e2"] / (2.0 * (m.ell + 1.0))), 8001),
+        closed_form="ground",
+        log_zero_mode=lambda m, r: ((m.ell + 1.0) * _log_r(m, r)
+                                    - m.params["omega_T"] * r**2 / 2.0
+                                    - m.params["e2"] * r / (2.0 * (m.ell + 1.0))),
+    ),
+    Family.CUSTOM: FamilyRecord(
+        params={},
+        rules=(
+            (lambda m: all(m.params.get(k) is not None
+                           for k in ("grid", "w_samples", "w_prime_samples")),
+             "custom family requires tabulated 'grid', 'w_samples' and 'w_prime_samples'"),
+            (lambda m: isinstance(m.params["grid"], RadialGrid),
+             "custom 'grid' must be a RadialGrid"),
+            (lambda m: len(m.params["w_samples"]) == m.params["grid"].n_points,
+             "custom w_samples must have grid.n_points entries"),
+            (lambda m: len(m.params["w_prime_samples"]) == m.params["grid"].n_points,
+             "custom w_prime_samples must have grid.n_points entries"),
+        ),
+        superpotential=_custom_w,
+        # the tabulated window is the only sensible default
+        window=lambda m, n_max: m.params["grid"],
+        closed_form="none",
+        has_ell=False,
+    ),
 }
 
 
@@ -212,16 +362,34 @@ class ModelSpec:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
-        missing = [k for k in _REQUIRED_PARAMS[self.family] if k not in self.params]
+        record = self.record
+        missing = [k for k in record.params if k not in self.params]
         if missing:
             raise ConfigurationError(
                 f"{self.family.value} model missing parameters: {', '.join(missing)}"
             )
-        _VALIDATORS[self.family](self)
+        for key in record.params:
+            if not math.isfinite(self.params[key]):
+                raise ConfigurationError(f"{self.family.value} requires a finite {key}")
+        for test, message in record.rules:
+            if not test(self):
+                raise ConfigurationError(message)
+        if record.has_ell and self.ell < 0:
+            raise ConfigurationError(f"{self.family.value} requires ell >= 0")
+
+    @property
+    def record(self) -> FamilyRecord:
+        return FAMILIES[self.family]
 
     @property
     def is_qes(self) -> bool:
-        return self.family in QES_FAMILIES
+        return self.record.closed_form == "ground"
+
+    @property
+    def max_level(self) -> float:
+        """Highest bound level: the top of a finite tower, inf otherwise."""
+        top = self.record.tower_top
+        return math.inf if top is None else top(self)
 
 
 def oscillator_model(omega: float, B: float = 0.0, ell: int = 0,

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     DomainError,
-    Family,
     ModelSpec,
     RadialGrid,
     Source,
@@ -25,9 +24,12 @@ from .core import (
     spectrum_result,
 )
 from .numsolve import discretize, lowest_eigenvalues, quadrature
-from .superpot import PartnerPotentials, partner_potentials, superpotential_from_model
-
-_DECAY_CEILING = 1e-6
+from .superpot import (
+    _DECAY_CEILING,
+    PartnerPotentials,
+    partner_potentials,
+    superpotential_from_model,
+)
 
 
 def _require_qes(model: ModelSpec, what: str) -> None:
@@ -45,9 +47,9 @@ def qes_partner_potentials(model: ModelSpec, grid: RadialGrid) -> PartnerPotenti
 class QesGroundState:
     """Closed-form zero mode with its self-check residual.
 
-    residual_sup is sup |(-f'' + V_- f)| / sup |f| over the grid interior,
-    an O(h^2) discretization of how well f_0 annihilates the lower problem
-    at epsilon^2 = 0.
+    residual_sup is zero_mode_residual(f0, V_-, grid), an O(h^2)
+    discretization of how well f_0 annihilates the lower problem at
+    epsilon^2 = 0.
     """
 
     grid: RadialGrid
@@ -56,19 +58,11 @@ class QesGroundState:
     residual_sup: float
 
 
-def _exponent(model: ModelSpec, r: np.ndarray) -> np.ndarray:
-    p, ell = model.params, model.ell
-    if model.family is Family.ANHARMONIC_QES:
-        return -(p["b"] * r**3 / 3.0 + p["omega_T"] * r**2 / 2.0 + p["a"] * r)
-    if model.family is Family.SEXTIC_QES:
-        if np.min(r) <= 0.0:
-            raise DomainError("sextic zero mode requires r_min > 0")
-        return ell * np.log(r) - p["omega_T"] * r**2 / 2.0 - p["b"] * r**4 / 4.0
-    # deformed Coulomb
-    if np.min(r) <= 0.0:
-        raise DomainError("deformed-coulomb zero mode requires r_min > 0")
-    return ((ell + 1.0) * np.log(r) - p["omega_T"] * r**2 / 2.0
-            - p["e2"] * r / (2.0 * (ell + 1.0)))
+def zero_mode_residual(f0: np.ndarray, v_minus: np.ndarray, grid: RadialGrid) -> float:
+    """sup |(-f0'' + V_- f0)| / sup |f0| over the grid interior, with the
+    three-point Laplacian."""
+    lap = (f0[2:] - 2.0 * f0[1:-1] + f0[:-2]) / grid.h**2
+    return float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1])) / np.max(np.abs(f0)))
 
 
 def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
@@ -78,8 +72,7 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
     or non-normalizable parameters).
     """
     _require_qes(model, "qes_ground_state")
-    r = grid.points()
-    g = _exponent(model, r)
+    g = model.record.log_zero_mode(model, grid.points())
     g = g - np.max(g)
     f = np.exp(g)
     if f[-1] > _DECAY_CEILING:
@@ -87,13 +80,8 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
             "zero mode does not decay at r_max; enlarge the window or check parameters"
         )
     f = f / math.sqrt(quadrature(f * f, grid))
-
-    v_minus = qes_partner_potentials(model, grid).v_minus
-    h = grid.h
-    lap = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-    res = -lap + v_minus[1:-1] * f[1:-1]
-    residual_sup = float(np.max(np.abs(res)) / np.max(np.abs(f)))
-    return QesGroundState(grid=grid, f0=f, epsilon_sq=0.0, residual_sup=residual_sup)
+    residual = zero_mode_residual(f, qes_partner_potentials(model, grid).v_minus, grid)
+    return QesGroundState(grid=grid, f0=f, epsilon_sq=0.0, residual_sup=residual)
 
 
 def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> SpectrumResult:

@@ -1,4 +1,4 @@
-"""Generalized Laguerre polynomials and a log-gamma wrapper.
+"""Generalized Laguerre polynomials.
 
 The closed-form bound states are Laguerre envelopes; the three-term
 recurrence below is the only evaluation path used in production code, so the
@@ -6,8 +6,6 @@ test suite checks it against an independent series expansion.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -41,9 +39,3 @@ def laguerre(n: int, alpha: float, z):
         prev, cur = cur, ((2 * k + 1 + alpha - zarr) * cur - (k + alpha) * prev) / (k + 1)
     return float(cur) if np.isscalar(z) else cur
 
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise DomainError("ln_gamma requires x > 0")
-    return math.lgamma(x)

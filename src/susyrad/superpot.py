@@ -14,47 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    Family,
-    ModelSpec,
-    RadialGrid,
-    omega_total,
-)
+from .core import DomainError, ModelSpec, RadialGrid, Superpotential
 from .numsolve import cumulative_quadrature, quadrature
 
 #: relative size at r_max above which exp(-int W) is rejected as non-normalizable
 _DECAY_CEILING = 1e-6
-
-
-@dataclass(frozen=True)
-class SuperpotentialPieces:
-    """The three physical ingredients of W: angular, magnetic, scalar.
-
-    `ell_over_r` is the coefficient of the 1/r angular piece; `a_field` and
-    `v_field` are callables giving e*A(r)/hbar and v(r)/hbar.  They always
-    satisfy W(r) = ell_over_r / r + a_field(r) + v_field(r).
-    """
-
-    ell_over_r: float
-    a_field: Callable
-    v_field: Callable
-
-
-@dataclass(frozen=True)
-class Superpotential:
-    """W(r) with its derivative, decomposition and singular/regular split.
-
-    `singular_coefficient` is the total coefficient of 1/r in W (angular plus
-    any centrifugal-like part of v); `w_regular` is W minus that singular
-    term, which stays finite at the origin and integrates cleanly.
-    """
-
-    w: Callable
-    w_prime: Callable
-    pieces: SuperpotentialPieces
-    singular_coefficient: float
-    w_regular: Callable
 
 
 def _sample(fn: Callable, r: np.ndarray) -> np.ndarray:
@@ -63,129 +27,8 @@ def _sample(fn: Callable, r: np.ndarray) -> np.ndarray:
 
 
 def superpotential_from_model(model: ModelSpec) -> Superpotential:
-    """Build the closed-form superpotential for a model family."""
-    hbar, mass, e = model.units.hbar, model.units.mass, model.units.e_charge
-    ell = model.ell
-    p = model.params
-
-    if model.family is Family.OSCILLATOR:
-        w_t = omega_total(p["omega"], p["B"], model.units)
-        lam = mass * w_t / hbar
-        c = -(ell + 1.0)
-        larmor = e * p["B"] / (2.0 * hbar)
-        mech = mass * p["omega"] / hbar
-        return Superpotential(
-            w=lambda r: lam * r + c / r,
-            w_prime=lambda r: lam - c / r**2,
-            pieces=SuperpotentialPieces(
-                ell_over_r=float(ell),
-                a_field=lambda r: larmor * r,
-                v_field=lambda r: mech * r - (2.0 * ell + 1.0) / r,
-            ),
-            singular_coefficient=c,
-            w_regular=lambda r: lam * r,
-        )
-
-    if model.family is Family.COULOMB:
-        kappa = p["kappa"]
-        const = kappa / (ell + 1.0)
-        c = -(ell + 1.0)
-        return Superpotential(
-            w=lambda r: const + c / r,
-            w_prime=lambda r: -c / r**2,
-            pieces=SuperpotentialPieces(
-                ell_over_r=float(ell),
-                a_field=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                v_field=lambda r: const - (2.0 * ell + 1.0) / r,
-            ),
-            singular_coefficient=c,
-            w_regular=lambda r: const + 0.0 * r,
-        )
-
-    if model.family is Family.MORSE:
-        a, alpha, b = p["a"], p["alpha"], p["b"]
-        return Superpotential(
-            w=lambda r: b - a * np.exp(-alpha * r),
-            w_prime=lambda r: a * alpha * np.exp(-alpha * r),
-            pieces=SuperpotentialPieces(
-                ell_over_r=0.0,
-                a_field=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                v_field=lambda r: b - a * np.exp(-alpha * r),
-            ),
-            singular_coefficient=0.0,
-            w_regular=lambda r: b - a * np.exp(-alpha * r),
-        )
-
-    if model.family is Family.ANHARMONIC_QES:
-        a, w_t, b = p["a"], p["omega_T"], p["b"]
-        return Superpotential(
-            w=lambda r: a + w_t * r + b * r**2,
-            w_prime=lambda r: w_t + 2.0 * b * r,
-            pieces=SuperpotentialPieces(
-                ell_over_r=0.0,
-                a_field=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                v_field=lambda r: a + w_t * r + b * r**2,
-            ),
-            singular_coefficient=0.0,
-            w_regular=lambda r: a + w_t * r + b * r**2,
-        )
-
-    if model.family is Family.SEXTIC_QES:
-        w_t, b = p["omega_T"], p["b"]
-        c = -float(ell)
-        return Superpotential(
-            w=lambda r: c / r + w_t * r + b * r**3,
-            w_prime=lambda r: -c / r**2 + w_t + 3.0 * b * r**2,
-            pieces=SuperpotentialPieces(
-                ell_over_r=float(ell),
-                a_field=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                v_field=lambda r: -2.0 * ell / r + w_t * r + b * r**3,
-            ),
-            singular_coefficient=c,
-            w_regular=lambda r: w_t * r + b * r**3,
-        )
-
-    if model.family is Family.DEFORMED_COULOMB_QES:
-        e2, w_t = p["e2"], p["omega_T"]
-        const = e2 / (2.0 * (ell + 1.0))
-        c = -(ell + 1.0)
-        return Superpotential(
-            w=lambda r: const + c / r + w_t * r,
-            w_prime=lambda r: -c / r**2 + w_t,
-            pieces=SuperpotentialPieces(
-                ell_over_r=float(ell),
-                a_field=lambda r: w_t * np.asarray(r, dtype=float),
-                v_field=lambda r: const - (2.0 * ell + 1.0) / r,
-            ),
-            singular_coefficient=c,
-            w_regular=lambda r: const + w_t * r,
-        )
-
-    # custom: tabulated samples, linearly interpolated
-    grid = p["grid"]
-    rs = grid.points()
-    ws = np.asarray(p["w_samples"], dtype=float)
-    wps = np.asarray(p["w_prime_samples"], dtype=float)
-
-    def w_interp(r, _rs=rs, _ws=ws):
-        out = np.interp(np.asarray(r, dtype=float), _rs, _ws)
-        return float(out) if np.isscalar(r) else out
-
-    def wp_interp(r, _rs=rs, _wps=wps):
-        out = np.interp(np.asarray(r, dtype=float), _rs, _wps)
-        return float(out) if np.isscalar(r) else out
-
-    return Superpotential(
-        w=w_interp,
-        w_prime=wp_interp,
-        pieces=SuperpotentialPieces(
-            ell_over_r=0.0,
-            a_field=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            v_field=w_interp,
-        ),
-        singular_coefficient=0.0,
-        w_regular=w_interp,
-    )
+    """Build the superpotential of a model from its family record."""
+    return model.record.superpotential(model)
 
 
 @dataclass(frozen=True)
@@ -223,28 +66,27 @@ def _central_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
-    """Apply (d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
+def _ladder(sp: Superpotential, f_samples, grid: RadialGrid, sign: float) -> np.ndarray:
+    """Apply (sign * d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
     f = np.asarray(f_samples, dtype=float)
     if f.shape != (grid.n_points,):
         raise ValueError("f_samples must have one entry per grid point")
     w = _sample(sp.w, grid.points())
-    out = _central_derivative(f, grid.h) + w * f
+    out = sign * _central_derivative(f, grid.h) + w * f
     # W may blow up at a wall where f has an exact zero; that wall value is
     # meaningless downstream, so pin it instead of propagating inf * 0.
     out[~np.isfinite(out)] = 0.0
     return out
 
 
+def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
+    """Apply (d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
+    return _ladder(sp, f_samples, grid, 1.0)
+
+
 def apply_raising(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
     """Apply (-d/dr + W) to tabulated f; adjoint partner of apply_lowering."""
-    f = np.asarray(f_samples, dtype=float)
-    if f.shape != (grid.n_points,):
-        raise ValueError("f_samples must have one entry per grid point")
-    w = _sample(sp.w, grid.points())
-    out = -_central_derivative(f, grid.h) + w * f
-    out[~np.isfinite(out)] = 0.0
-    return out
+    return _ladder(sp, f_samples, grid, -1.0)
 
 
 def ground_state_from_w(sp: Superpotential, grid: RadialGrid) -> np.ndarray:

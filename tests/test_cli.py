@@ -2,11 +2,24 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from susyrad import cli
+from susyrad import (
+    ConfigurationError,
+    Family,
+    ModelSpec,
+    anharmonic_model,
+    cli,
+    coulomb_model,
+    deformed_coulomb_model,
+    morse_model,
+    oscillator_model,
+    sextic_model,
+)
+from susyrad.core import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -352,3 +365,49 @@ def test_negative_n_max_is_usage_error(capsys):
                            "--n-max", "-1")
     assert code == 2
     assert "n-max" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "coulomb", "--kappa", "inf"),
+    ("spectrum", "--model", "oscillator", "--grid", "0.001,inf,100"),
+    ("spectrum", "--model", "oscillator", "--grid", "0.001,1,5", "--n-max", "10"),
+], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid"])
+def test_bad_input_is_one_line_usage_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and not caught
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------ family table
+
+CONSTRUCTORS = {
+    Family.OSCILLATOR: oscillator_model,
+    Family.COULOMB: coulomb_model,
+    Family.MORSE: morse_model,
+    Family.ANHARMONIC_QES: anharmonic_model,
+    Family.SEXTIC_QES: sextic_model,
+    Family.DEFORMED_COULOMB_QES: deformed_coulomb_model,
+}
+
+
+@pytest.mark.parametrize("family", list(CONSTRUCTORS), ids=lambda f: f.value)
+def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
+    record = FAMILIES[family]
+    # every parameter the model carries and validates is named in the record
+    assert set(CONSTRUCTORS[family](**record.params).params) == set(record.params)
+    for key in record.params:
+        with pytest.raises(ConfigurationError, match=key):
+            ModelSpec(family, {**record.params, key: math.nan})
+        with pytest.raises(ConfigurationError, match=key):
+            ModelSpec(family, {k: v for k, v in record.params.items() if k != key})
+    # CLI defaults resolve to the record's defaults and solve on a small grid
+    argv = ["spectrum", "--model", family.value, "--method", "numeric", "--n-max", "0",
+            "--grid", "0.01,6,201"]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert dict(cfg.model.params) == record.params
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert parse_csv(out)[1][0][4] == "numeric"

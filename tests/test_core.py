@@ -54,6 +54,8 @@ def test_grid_validation():
         RadialGrid(2.0, 1.0, 10)
     with pytest.raises(ConfigurationError):
         RadialGrid(0.0, 1.0, 2)
+    with pytest.raises(ConfigurationError):
+        RadialGrid(1e-3, math.inf, 100)
 
 
 def test_omega_total():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from susyrad import DomainError
-from susyrad.specfun import laguerre, ln_gamma
+from susyrad.specfun import laguerre
 from susyrad.core import RadialGrid
 from susyrad.numsolve import quadrature
 
@@ -89,7 +89,7 @@ def test_weighted_orthogonality(n, alpha):
     weight = np.zeros_like(z)
     weight[1:] = z[1:] ** alpha * np.exp(-z[1:])
     weight[0] = 1.0 if alpha == 0.0 else 0.0
-    norm_target = math.exp(ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0))
+    norm_target = math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
     for k in (n, n + 1, n + 2):
         integral = quadrature(weight * laguerre(n, alpha, z) * laguerre(k, alpha, z), grid)
         if k == n:
@@ -97,14 +97,3 @@ def test_weighted_orthogonality(n, alpha):
         else:
             assert abs(integral) <= 1e-6 * norm_target
 
-
-def test_ln_gamma_values():
-    assert ln_gamma(1.0) == 0.0
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-    for n in range(1, 21):
-        assert ln_gamma(n + 1.0) == pytest.approx(math.log(math.factorial(n)), rel=1e-12)
-    with pytest.raises(DomainError):
-        ln_gamma(0.0)
-    with pytest.raises(DomainError):
-        ln_gamma(-2.5)

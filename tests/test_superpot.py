@@ -54,16 +54,6 @@ def test_morse_w_crosses_zero_at_origin_when_a_equals_b():
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
-def test_pieces_assemble_to_w(model):
-    """W(r) = ell/r + a_field(r) + v_field(r) pointwise."""
-    sp = superpotential_from_model(model)
-    r = np.linspace(0.37, 9.3, 41)
-    assembled = sp.pieces.ell_over_r / r + sp.pieces.a_field(r) + sp.pieces.v_field(r)
-    w = sp.w(r)
-    np.testing.assert_allclose(assembled, w, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("model", ALL_MODELS)
 def test_regular_plus_singular_split(model):
     sp = superpotential_from_model(model)
     r = np.linspace(0.11, 7.7, 29)
