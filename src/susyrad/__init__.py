@@ -35,13 +35,6 @@ from .analytic import (
     analytic_epsilon_sq,
     analytic_spectrum,
     analytic_wavefunctions,
-    coulomb_epsilon_sq,
-    coulomb_wavefunctions,
-    morse_epsilon_sq,
-    morse_max_level,
-    morse_wavefunctions,
-    oscillator_epsilon_sq,
-    oscillator_wavefunctions,
 )
 from .numsolve import (
     IsospectralReport,
@@ -58,7 +51,6 @@ from .qes import (
     QesGroundState,
     qes_ground_state,
     qes_numeric_spectrum,
-    qes_partner_potentials,
 )
 from .superpot import (
     PartnerPotentials,
@@ -96,9 +88,7 @@ __all__ = [
     "anharmonic_model",
     "apply_lowering",
     "apply_raising",
-    "coulomb_epsilon_sq",
     "coulomb_model",
-    "coulomb_wavefunctions",
     "cumulative_quadrature",
     "custom_model",
     "deformed_coulomb_model",
@@ -108,19 +98,13 @@ __all__ = [
     "ground_state_from_w",
     "isospectral_check",
     "lowest_eigenvalues",
-    "morse_epsilon_sq",
-    "morse_max_level",
     "morse_model",
-    "morse_wavefunctions",
     "nonrelativistic_limit",
     "omega_total",
-    "oscillator_epsilon_sq",
     "oscillator_model",
-    "oscillator_wavefunctions",
     "partner_potentials",
     "qes_ground_state",
     "qes_numeric_spectrum",
-    "qes_partner_potentials",
     "quadrature",
     "sextic_model",
     "spectrum_result",

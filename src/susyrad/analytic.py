@@ -2,8 +2,9 @@
 
 Three families admit a full analytic solution: the (magnetic) oscillator,
 the Coulomb problem and the Morse well.  Each lower-partner state is a
-Laguerre envelope; the upper component is produced by the lowering operator
-and the pair is normalized jointly, int (f_-^2 + f_+^2) dr = 1.
+Laguerre envelope whose variable, power and order the family record holds;
+the upper component is produced by the lowering operator and the pair is
+normalized jointly, int (f_-^2 + f_+^2) dr = 1.
 
 All epsilon^2 values are the shifted squared eigenvalues of
 -f'' + V_- f = eps^2 f; map them to energies with core.epsilon_to_energy.
@@ -19,12 +20,10 @@ import numpy as np
 from .core import (
     ConfigurationError,
     DomainError,
-    Family,
     ModelSpec,
     RadialGrid,
     Source,
     SpectrumResult,
-    omega_total,
     spectrum_result,
 )
 from .numsolve import quadrature
@@ -51,47 +50,8 @@ class RadialWavefunction:
         return quadrature(self.f_minus**2 + self.f_plus**2, self.grid)
 
 
-def _require_family(model: ModelSpec, family: Family, what: str) -> None:
-    if model.family is not family:
-        raise ConfigurationError(f"{what} requires a {family.value} model")
-
-
-def _require_level(n: int) -> None:
-    if n < 0 or n != int(n):
-        raise DomainError("level n must be a nonnegative integer")
-
-
 # --------------------------------------------------------------------------
 # Spectra
-
-
-def oscillator_epsilon_sq(n: int, model: ModelSpec) -> float:
-    """eps^2_n = 4 n (m/hbar) omega_T; degenerate in ell."""
-    _require_family(model, Family.OSCILLATOR, "oscillator_epsilon_sq")
-    return analytic_epsilon_sq(model, n)
-
-
-def coulomb_epsilon_sq(n: int, model: ModelSpec) -> float:
-    """eps^2_n = kappa^2 [ 1/(ell+1)^2 - 1/(n+ell+1)^2 ]."""
-    _require_family(model, Family.COULOMB, "coulomb_epsilon_sq")
-    return analytic_epsilon_sq(model, n)
-
-
-def morse_epsilon_sq(n: int, model: ModelSpec) -> float:
-    """eps^2_n = alpha n (2b - alpha n), valid while b - alpha n > 0.
-
-    Note the ordering of the factors: the level must *rise* with n through
-    the finite tower.  Requesting a level at or beyond the threshold raises
-    NoBoundStateError.
-    """
-    _require_family(model, Family.MORSE, "morse_epsilon_sq")
-    return analytic_epsilon_sq(model, n)
-
-
-def morse_max_level(model: ModelSpec) -> int:
-    """Largest n with b - alpha n > 0 (the Morse tower is finite)."""
-    _require_family(model, Family.MORSE, "morse_max_level")
-    return model.max_level
 
 
 def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
@@ -99,7 +59,8 @@ def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
     record = model.record
     if record.closed_form == "none":
         raise ConfigurationError(f"{model.family.value} models have no analytic spectrum")
-    _require_level(n)
+    if n < 0 or n != int(n):
+        raise DomainError("level n must be a nonnegative integer")
     if record.closed_form == "ground":
         if n != 0:
             raise ConfigurationError(
@@ -121,26 +82,6 @@ def analytic_spectrum(model: ModelSpec, n_max: int) -> SpectrumResult:
 # Wavefunctions
 
 
-def _assemble_pair(model: ModelSpec, grid: RadialGrid, n: int, eps_sq: float,
-                   f_minus_raw: np.ndarray) -> RadialWavefunction:
-    """Normalize f_- and attach the lowered upper component."""
-    nrm = math.sqrt(quadrature(f_minus_raw**2, grid))
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise DomainError("wavefunction vanishes or overflows on this grid")
-    f_minus = f_minus_raw / nrm
-    if n == 0:
-        f_plus = np.zeros_like(f_minus)
-    else:
-        sp = superpotential_from_model(model)
-        f_plus = apply_lowering(sp, f_minus, grid) / math.sqrt(eps_sq)
-    total = quadrature(f_minus**2 + f_plus**2, grid)
-    scale = 1.0 / math.sqrt(total)
-    return RadialWavefunction(
-        grid=grid, n=n, epsilon_sq=eps_sq,
-        f_minus=f_minus * scale, f_plus=f_plus * scale,
-    )
-
-
 def _laguerre_envelope(k_power: float, z: np.ndarray, n: int, alpha: float) -> np.ndarray:
     """z^k e^{-z/2} L_n^alpha(z), evaluated in log form and peak-shifted."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,53 +95,30 @@ def _laguerre_envelope(k_power: float, z: np.ndarray, n: int, alpha: float) -> n
     return env * laguerre(n, alpha, z)
 
 
-def oscillator_wavefunctions(n: int, model: ModelSpec, grid: RadialGrid) -> RadialWavefunction:
-    """Oscillator level n: f_- is a z^{(ell+1)/2} e^{-z/2} L_n^{ell+1/2}
-    envelope in z = (m omega_T / hbar) r^2."""
-    _require_family(model, Family.OSCILLATOR, "oscillator_wavefunctions")
-    _require_level(n)
-    if grid.r_min <= 0.0:
-        raise DomainError("oscillator wavefunctions require r_min > 0")
-    lam = model.units.mass * omega_total(model.params["omega"], model.params["B"],
-                                         model.units) / model.units.hbar
-    z = lam * grid.points() ** 2
-    ell = model.ell
-    raw = _laguerre_envelope((ell + 1.0) / 2.0, z, n, ell + 0.5)
-    return _assemble_pair(model, grid, n, oscillator_epsilon_sq(n, model), raw)
-
-
-def coulomb_wavefunctions(n: int, model: ModelSpec, grid: RadialGrid) -> RadialWavefunction:
-    """Coulomb level n: f_- ~ z^{ell+1} e^{-z/2} L_n^{2 ell + 1}(z) with
-    z = 2 kappa r / (n + ell + 1)."""
-    _require_family(model, Family.COULOMB, "coulomb_wavefunctions")
-    _require_level(n)
-    if grid.r_min <= 0.0:
-        raise DomainError("coulomb wavefunctions require r_min > 0")
-    kappa, ell = model.params["kappa"], model.ell
-    z = 2.0 * kappa * grid.points() / (n + ell + 1.0)
-    raw = _laguerre_envelope(ell + 1.0, z, n, 2.0 * ell + 1.0)
-    return _assemble_pair(model, grid, n, coulomb_epsilon_sq(n, model), raw)
-
-
-def morse_wavefunctions(n: int, model: ModelSpec, grid: RadialGrid) -> RadialWavefunction:
-    """Morse level n: f_- ~ z^{b/alpha - n} e^{-z/2} L_n^{2b/alpha - 2n}(z)
-    with z = (2a/alpha) e^{-alpha r}.  The window may extend to negative r."""
-    _require_family(model, Family.MORSE, "morse_wavefunctions")
-    eps_sq = morse_epsilon_sq(n, model)  # also validates boundedness
-    a, alpha, b = (model.params[k] for k in ("a", "alpha", "b"))
-    z = (2.0 * a / alpha) * np.exp(-alpha * grid.points())
-    raw = _laguerre_envelope(b / alpha - n, z, n, 2.0 * b / alpha - 2.0 * n)
-    return _assemble_pair(model, grid, n, eps_sq, raw)
-
-
 def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> RadialWavefunction:
-    """Dispatch to the family constructor (solvable families only)."""
-    if model.family is Family.OSCILLATOR:
-        return oscillator_wavefunctions(n, model, grid)
-    if model.family is Family.COULOMB:
-        return coulomb_wavefunctions(n, model, grid)
-    if model.family is Family.MORSE:
-        return morse_wavefunctions(n, model, grid)
-    raise ConfigurationError(
-        f"{model.family.value} has no closed-form excited wavefunctions"
+    """Level n of a solvable family from the Laguerre envelope in its record.
+
+    f_- is z^k e^{-z/2} L_n^alpha(z) with (k, z, alpha) = record.envelope;
+    f_+ is its image under the lowering operator divided by epsilon.
+    """
+    if model.record.closed_form != "all":
+        raise ConfigurationError(f"{model.family.value} has no closed-form excited wavefunctions")
+    eps_sq = analytic_epsilon_sq(model, n)  # also validates n and a finite tower
+    sp = superpotential_from_model(model)
+    if sp.singular_coefficient != 0.0 and grid.r_min <= 0.0:
+        raise DomainError(f"{model.family.value} wavefunctions require r_min > 0")
+    k_power, z, alpha = model.record.envelope(model, n, grid.points())
+    raw = _laguerre_envelope(k_power, z, n, alpha)
+    nrm = math.sqrt(quadrature(raw**2, grid))
+    if nrm == 0.0 or not math.isfinite(nrm):
+        raise DomainError("wavefunction vanishes or overflows on this grid")
+    f_minus = raw / nrm
+    if n == 0:
+        f_plus = np.zeros_like(f_minus)
+    else:
+        f_plus = apply_lowering(sp, f_minus, grid) / math.sqrt(eps_sq)
+    scale = 1.0 / math.sqrt(quadrature(f_minus**2 + f_plus**2, grid))
+    return RadialWavefunction(
+        grid=grid, n=n, epsilon_sq=eps_sq,
+        f_minus=f_minus * scale, f_plus=f_plus * scale,
     )

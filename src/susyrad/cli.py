@@ -446,13 +446,23 @@ def _parse_grid(value) -> RadialGrid:
         raise UsageError(str(exc))
 
 
-def _setting(args, file_cfg: dict, key: str, default=None):
+def _setting(args, file_cfg: dict, key: str, default=None, kind=None):
+    """The flag, else the config-file value as `kind` (float, or int when
+    integral; anything else is a usage error), else the default."""
     flag_val = getattr(args, key, None)
     if flag_val is not None:
         return flag_val
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
-    return default
+    value = file_cfg.get(key)
+    if value is None or kind is None:
+        return default if value is None else value
+    try:
+        x = float(value)
+        if kind is int and x != int(x):
+            raise ValueError
+        return kind(x)
+    except (TypeError, ValueError, OverflowError):
+        kind_name = "an integer" if kind is int else "a number"
+        raise UsageError(f"config value {key} must be {kind_name}, got {value!r}") from None
 
 
 def resolve_config(args) -> RunConfig:
@@ -465,11 +475,11 @@ def resolve_config(args) -> RunConfig:
         raise UsageError(f"unknown model family {family_name!r}")
 
     record = FAMILIES[family]
-    ell = int(_setting(args, file_cfg, "ell", 0))
-    params = {key: float(_setting(args, file_cfg, _PARAM_KEYS.get(key, key), default))
+    ell = _setting(args, file_cfg, "ell", 0, int)
+    params = {key: _setting(args, file_cfg, _PARAM_KEYS.get(key, key), default, float)
               for key, default in record.params.items()}
     grid_setting = _setting(args, file_cfg, "grid")
-    n_max = _setting(args, file_cfg, "n_max")
+    n_max = _setting(args, file_cfg, "n_max", kind=int)
 
     try:
         if family is Family.CUSTOM:
@@ -521,14 +531,16 @@ def resolve_config(args) -> RunConfig:
             raise UsageError(f"{family.value} models cannot run analytic_vs_numeric")
         checks = tuple(c for c in CANONICAL_CHECKS if c in names)
 
-    # the numeric spectrum and the level comparison solve n_max + 1 levels
-    solved = "analytic_vs_numeric" in checks or (args.command == "spectrum"
-                                                 and method != "analytic")
-    if solved and n_max + 1 > grid.n_points - 2:
-        raise UsageError(f"--n-max {n_max} needs {n_max + 1} levels, but the grid has "
-                         f"{grid.n_points - 2} interior points")
-
-    n = int(_setting(args, file_cfg, "n", 0))
+    # the numeric spectrum and the level comparison solve n_max + 1 levels, a
+    # numeric wavefunction n + 1
+    n = _setting(args, file_cfg, "n", 0, int)
+    for flag, top, solved in (
+            ("--n-max", n_max, "analytic_vs_numeric" in checks
+             or (args.command == "spectrum" and method != "analytic")),
+            ("--n", n, args.command == "wavefunction" and method == "numeric")):
+        if solved and top + 1 > grid.n_points - 2:
+            raise UsageError(f"{flag} {top} needs {top + 1} levels, but the grid has "
+                             f"{grid.n_points - 2} interior points")
     if n < 0:
         raise UsageError("--n must be nonnegative")
 

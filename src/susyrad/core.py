@@ -128,6 +128,8 @@ class FamilyRecord:
     epsilon_sq: (spec, n) -> closed-form epsilon^2_n of an "all" family.
     tower_top: spec -> highest bound level of a finite tower; None when the
         tower does not end.
+    envelope: (spec, n, r) -> (k, z, alpha) of an "all" family: the lower
+        state of level n is z^k e^{-z/2} L_n^alpha(z) with z = z(r).
     log_zero_mode: (spec, r) -> log f_0 up to a constant, for "ground" families.
     has_ell: ell is a free label (it must then be >= 0); otherwise it is 0.
     """
@@ -139,6 +141,7 @@ class FamilyRecord:
     closed_form: str = "all"
     epsilon_sq: Callable | None = None
     tower_top: Callable | None = None
+    envelope: Callable | None = None
     log_zero_mode: Callable | None = None
     has_ell: bool = True
 
@@ -190,6 +193,11 @@ def _morse_epsilon_sq(m: "ModelSpec", n: int) -> float:
             f"highest bound level is n={_morse_top(m)})"
         )
     return alpha * n * (2.0 * b - alpha * n)
+
+
+def _morse_envelope(m: "ModelSpec", n: int, r: np.ndarray) -> tuple:
+    a, alpha, b = m.params["a"], m.params["alpha"], m.params["b"]
+    return b / alpha - n, (2.0 * a / alpha) * np.exp(-alpha * r), 2.0 * b / alpha - 2.0 * n
 
 
 def _morse_window(m: "ModelSpec", n_max: int) -> RadialGrid:
@@ -272,6 +280,8 @@ FAMILIES = {
         superpotential=_oscillator_w,
         window=_oscillator_window,
         epsilon_sq=lambda m, n: 4.0 * n * m.units.mass * _omega_t(m) / m.units.hbar,
+        envelope=lambda m, n, r: ((m.ell + 1.0) / 2.0,
+                                  m.units.mass * _omega_t(m) / m.units.hbar * r**2, m.ell + 0.5),
     ),
     Family.COULOMB: FamilyRecord(
         params={"kappa": 1.0},
@@ -280,6 +290,8 @@ FAMILIES = {
         window=_coulomb_window,
         epsilon_sq=lambda m, n: m.params["kappa"]**2 * (
             1.0 / (m.ell + 1.0) ** 2 - 1.0 / (n + m.ell + 1.0) ** 2),
+        envelope=lambda m, n, r: (m.ell + 1.0, 2.0 * m.params["kappa"] * r / (n + m.ell + 1.0),
+                                  2.0 * m.ell + 1.0),
     ),
     Family.MORSE: FamilyRecord(
         params={"a": 3.0, "alpha": 1.0, "b": 3.0},
@@ -289,6 +301,7 @@ FAMILIES = {
         window=_morse_window,
         epsilon_sq=_morse_epsilon_sq,
         tower_top=_morse_top,
+        envelope=_morse_envelope,
         has_ell=False,
     ),
     Family.ANHARMONIC_QES: FamilyRecord(

@@ -24,23 +24,12 @@ from .core import (
     spectrum_result,
 )
 from .numsolve import discretize, lowest_eigenvalues, quadrature
-from .superpot import (
-    _DECAY_CEILING,
-    PartnerPotentials,
-    partner_potentials,
-    superpotential_from_model,
-)
+from .superpot import _DECAY_CEILING, partner_potentials, superpotential_from_model
 
 
 def _require_qes(model: ModelSpec, what: str) -> None:
     if not model.is_qes:
         raise ConfigurationError(f"{what} requires a quasi-exactly-solvable family")
-
-
-def qes_partner_potentials(model: ModelSpec, grid: RadialGrid) -> PartnerPotentials:
-    """V_- and V_+ for a QES model, generated from W (not transcribed)."""
-    _require_qes(model, "qes_partner_potentials")
-    return partner_potentials(superpotential_from_model(model), grid)
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,8 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
             "zero mode does not decay at r_max; enlarge the window or check parameters"
         )
     f = f / math.sqrt(quadrature(f * f, grid))
-    residual = zero_mode_residual(f, qes_partner_potentials(model, grid).v_minus, grid)
+    v_minus = partner_potentials(superpotential_from_model(model), grid).v_minus
+    residual = zero_mode_residual(f, v_minus, grid)
     return QesGroundState(grid=grid, f0=f, epsilon_sq=0.0, residual_sup=residual)
 
 
@@ -93,6 +83,6 @@ def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> Spectrum
     _require_qes(model, "qes_numeric_spectrum")
     if k < 1:
         raise ValueError("k must be at least 1")
-    pp = qes_partner_potentials(model, grid)
+    pp = partner_potentials(superpotential_from_model(model), grid)
     eigs = lowest_eigenvalues(discretize(pp.v_minus, grid), k)
     return spectrum_result(eigs, model.units, Source.NUMERIC)

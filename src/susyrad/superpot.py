@@ -72,9 +72,10 @@ def _ladder(sp: Superpotential, f_samples, grid: RadialGrid, sign: float) -> np.
     if f.shape != (grid.n_points,):
         raise ValueError("f_samples must have one entry per grid point")
     w = _sample(sp.w, grid.points())
-    out = sign * _central_derivative(f, grid.h) + w * f
     # W may blow up at a wall where f has an exact zero; that wall value is
     # meaningless downstream, so pin it instead of propagating inf * 0.
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = sign * _central_derivative(f, grid.h) + w * f
     out[~np.isfinite(out)] = 0.0
     return out
 

@@ -29,7 +29,6 @@ from susyrad import (
     lowest_eigenvalues,
     morse_model,
     oscillator_model,
-    oscillator_wavefunctions,
     partner_potentials,
     qes_ground_state,
     qes_numeric_spectrum,
@@ -135,7 +134,7 @@ def test_lowering_operator_intertwines_oscillator_levels():
     op_plus = discretize(pp.v_plus, grid)
     eigs_plus = lowest_eigenvalues(op_plus, 3)
     for n in (1, 2, 3):
-        wf = oscillator_wavefunctions(n, model, grid)
+        wf = analytic_wavefunctions(model, n, grid)
         f = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
         img = apply_lowering(sp, f, grid)
         norm = math.sqrt(quadrature(img * img, grid))
@@ -186,7 +185,7 @@ def test_oscillator_gram_identity_and_universal_spinor_norms():
     grid = RadialGrid(1e-4, 14.0, 2801)
     states = []
     for n in range(5):
-        f = oscillator_wavefunctions(n, model, grid).f_minus
+        f = analytic_wavefunctions(model, n, grid).f_minus
         states.append(f / math.sqrt(quadrature(f * f, grid)))
     gram = np.array([[quadrature(a * b, grid) for b in states] for a in states])
     dev = float(np.max(np.abs(gram - np.eye(5))))

@@ -14,20 +14,13 @@ from susyrad import (
     analytic_spectrum,
     analytic_wavefunctions,
     anharmonic_model,
-    coulomb_epsilon_sq,
     coulomb_model,
-    coulomb_wavefunctions,
     custom_model,
     discretize,
     eigenvector,
     lowest_eigenvalues,
-    morse_epsilon_sq,
-    morse_max_level,
     morse_model,
-    morse_wavefunctions,
-    oscillator_epsilon_sq,
     oscillator_model,
-    oscillator_wavefunctions,
     partner_potentials,
     quadrature,
     superpotential_from_model,
@@ -45,39 +38,39 @@ def _sign_changes(f):
 
 def test_oscillator_epsilon_sq_values():
     m = oscillator_model(1.0)
-    assert oscillator_epsilon_sq(0, m) == 0.0
-    assert oscillator_epsilon_sq(3, m) == pytest.approx(12.0, abs=1e-14)
+    assert analytic_epsilon_sq(m, 0) == 0.0
+    assert analytic_epsilon_sq(m, 3) == pytest.approx(12.0, abs=1e-14)
     # Larmor shift: omega_T = omega + eB/2m = 2, so 4 n omega_T -> 16 at n = 2
-    assert oscillator_epsilon_sq(2, oscillator_model(1.0, 2.0)) == pytest.approx(16.0)
+    assert analytic_epsilon_sq(oscillator_model(1.0, 2.0), 2) == pytest.approx(16.0)
 
 
 def test_oscillator_epsilon_independent_of_ell():
     for n in range(4):
-        assert oscillator_epsilon_sq(n, oscillator_model(1.0, ell=0)) == \
-            pytest.approx(oscillator_epsilon_sq(n, oscillator_model(1.0, ell=3)))
+        assert analytic_epsilon_sq(oscillator_model(1.0, ell=0), n) == \
+            pytest.approx(analytic_epsilon_sq(oscillator_model(1.0, ell=3), n))
 
 
 def test_coulomb_epsilon_sq_values():
     # kappa^2 (1/(l+1)^2 - 1/(n+l+1)^2)
-    assert coulomb_epsilon_sq(0, coulomb_model(1.0)) == 0.0
-    assert coulomb_epsilon_sq(1, coulomb_model(1.0)) == pytest.approx(0.75)
-    assert coulomb_epsilon_sq(2, coulomb_model(1.0, ell=1)) == pytest.approx(0.1875)
-    assert coulomb_epsilon_sq(1, coulomb_model(2.0)) == pytest.approx(3.0)
+    assert analytic_epsilon_sq(coulomb_model(1.0), 0) == 0.0
+    assert analytic_epsilon_sq(coulomb_model(1.0), 1) == pytest.approx(0.75)
+    assert analytic_epsilon_sq(coulomb_model(1.0, ell=1), 2) == pytest.approx(0.1875)
+    assert analytic_epsilon_sq(coulomb_model(2.0), 1) == pytest.approx(3.0)
 
 
 def test_morse_epsilon_sq_values_and_tower_end():
     m = morse_model(3.0, 1.0, 3.0)
-    assert morse_epsilon_sq(0, m) == 0.0
-    assert morse_epsilon_sq(1, m) == pytest.approx(5.0)  # alpha n (2b - alpha n)
-    assert morse_epsilon_sq(2, m) == pytest.approx(8.0)
-    assert morse_max_level(m) == 2
+    assert analytic_epsilon_sq(m, 0) == 0.0
+    assert analytic_epsilon_sq(m, 1) == pytest.approx(5.0)  # alpha n (2b - alpha n)
+    assert analytic_epsilon_sq(m, 2) == pytest.approx(8.0)
+    assert m.max_level == 2
     with pytest.raises(NoBoundStateError):
-        morse_epsilon_sq(3, m)  # b - alpha n = 0: not normalizable
+        analytic_epsilon_sq(m, 3)  # b - alpha n = 0: not normalizable
 
 
 def test_morse_max_level_fractional_depth():
-    assert morse_max_level(morse_model(3.0, 1.0, 2.5)) == 2
-    assert morse_max_level(morse_model(3.0, 2.0, 1.0)) == 0
+    assert morse_model(3.0, 1.0, 2.5).max_level == 2
+    assert morse_model(3.0, 2.0, 1.0).max_level == 0
 
 
 def test_analytic_spectrum_assembly():
@@ -101,11 +94,13 @@ def test_custom_family_has_no_closed_form():
     m = custom_model(grid, r, np.ones_like(r))
     with pytest.raises(ConfigurationError):
         analytic_epsilon_sq(m, 0)
+    with pytest.raises(ConfigurationError):
+        analytic_wavefunctions(m, 0, grid)
 
 
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
-        oscillator_epsilon_sq(-1, oscillator_model(1.0))
+        analytic_epsilon_sq(oscillator_model(1.0), -1)
 
 
 # ---------------------------------------------------------- wavefunctions
@@ -116,7 +111,7 @@ def test_oscillator_ground_state_shape():
     model = oscillator_model(1.0)
     grid = RadialGrid(1e-4, 12.0, 2401)
     r = grid.points()
-    wf = oscillator_wavefunctions(0, model, grid)
+    wf = analytic_wavefunctions(model, 0, grid)
     ref = r * np.exp(-r**2 / 2.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
     np.testing.assert_allclose(wf.f_minus, ref, atol=1e-12)
@@ -128,7 +123,7 @@ def test_coulomb_ground_state_shape():
     model = coulomb_model(1.0)
     grid = RadialGrid(1e-4, 40.0, 4001)
     r = grid.points()
-    wf = coulomb_wavefunctions(0, model, grid)
+    wf = analytic_wavefunctions(model, 0, grid)
     ref = r * np.exp(-r)
     ref /= math.sqrt(quadrature(ref**2, grid))
     np.testing.assert_allclose(wf.f_minus, ref, atol=1e-12)
@@ -139,7 +134,7 @@ def test_morse_ground_state_shape():
     model = morse_model(3.0, 1.0, 3.0)
     grid = RadialGrid(-10.0, 30.0, 4001)
     r = grid.points()
-    wf = morse_wavefunctions(0, model, grid)
+    wf = analytic_wavefunctions(model, 0, grid)
     z = 6.0 * np.exp(-r)
     ref = z**3 * np.exp(-z / 2.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
@@ -148,13 +143,13 @@ def test_morse_ground_state_shape():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_oscillator_node_count(n):
-    wf = oscillator_wavefunctions(n, oscillator_model(1.0), RadialGrid(1e-4, 14.0, 2801))
+    wf = analytic_wavefunctions(oscillator_model(1.0), n, RadialGrid(1e-4, 14.0, 2801))
     assert _sign_changes(wf.f_minus) == n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_coulomb_node_count(n):
-    wf = coulomb_wavefunctions(n, coulomb_model(1.0), RadialGrid(1e-4, 120.0, 12001))
+    wf = analytic_wavefunctions(coulomb_model(1.0), n, RadialGrid(1e-4, 120.0, 12001))
     assert _sign_changes(wf.f_minus) == n
 
 
@@ -192,7 +187,7 @@ def test_tails_vanish_at_r_max():
 
 def test_large_order_states_stay_finite():
     """exp(k ln z - z/2) assembly must not overflow for high n at large r."""
-    wf = coulomb_wavefunctions(8, coulomb_model(1.0), RadialGrid(1e-4, 400.0, 8001))
+    wf = analytic_wavefunctions(coulomb_model(1.0), 8, RadialGrid(1e-4, 400.0, 8001))
     assert np.all(np.isfinite(wf.f_minus))
     assert np.all(np.isfinite(wf.f_plus))
     assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-10)
@@ -250,11 +245,11 @@ def test_analytic_levels_match_numeric_solver(model, grid, count, bound):
 def test_wavefunctions_require_open_origin_for_singular_families():
     from susyrad import DomainError
     with pytest.raises(DomainError):
-        oscillator_wavefunctions(0, oscillator_model(1.0), RadialGrid(0.0, 12.0, 1201))
+        analytic_wavefunctions(oscillator_model(1.0), 0, RadialGrid(0.0, 12.0, 1201))
     with pytest.raises(DomainError):
-        coulomb_wavefunctions(0, coulomb_model(1.0), RadialGrid(0.0, 40.0, 401))
+        analytic_wavefunctions(coulomb_model(1.0), 0, RadialGrid(0.0, 40.0, 401))
 
 
 def test_morse_level_beyond_tower_raises():
     with pytest.raises(NoBoundStateError):
-        morse_wavefunctions(3, morse_model(3.0, 1.0, 3.0), RadialGrid(-10.0, 30.0, 401))
+        analytic_wavefunctions(morse_model(3.0, 1.0, 3.0), 3, RadialGrid(-10.0, 30.0, 401))

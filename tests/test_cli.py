@@ -11,6 +11,7 @@ from susyrad import (
     ConfigurationError,
     Family,
     ModelSpec,
+    analytic_wavefunctions,
     anharmonic_model,
     cli,
     coulomb_model,
@@ -367,11 +368,27 @@ def test_negative_n_max_is_usage_error(capsys):
     assert "n-max" in err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("spectrum", "omega", "abc"),
+    ("spectrum", "ell", "abc"),
+    ("spectrum", "ell", 1.5),
+    ("spectrum", "n_max", "abc"),
+    ("wavefunction", "n", "abc"),
+], ids=["omega-text", "ell-text", "ell-fraction", "n_max-text", "n-text"])
+def test_config_value_of_the_wrong_kind_is_usage_error(capsys, tmp_path, command, key, value):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config value {key} ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--model", "coulomb", "--kappa", "inf"),
     ("spectrum", "--model", "oscillator", "--grid", "0.001,inf,100"),
     ("spectrum", "--model", "oscillator", "--grid", "0.001,1,5", "--n-max", "10"),
-], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid"])
+    ("wavefunction", "--method", "numeric", "--n", "10", "--grid", "0.001,1,5"),
+], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid"])
 def test_bad_input_is_one_line_usage_error(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -411,3 +428,15 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert parse_csv(out)[1][0][4] == "numeric"
+    # closed-form states come from the record: unit spinor norm on the default
+    # window where the family is solvable, a ConfigurationError where it is not
+    model = cfg.model
+    grid = record.window(model, 2)
+    if record.closed_form == "all":
+        assert record.epsilon_sq is not None and record.envelope is not None
+        for n in range(int(min(2, model.max_level)) + 1):
+            wf = analytic_wavefunctions(model, n, grid)
+            assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-8)
+    else:
+        with pytest.raises(ConfigurationError):
+            analytic_wavefunctions(model, 0, grid)

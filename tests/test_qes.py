@@ -19,7 +19,6 @@ from susyrad import (
     partner_potentials,
     qes_ground_state,
     qes_numeric_spectrum,
-    qes_partner_potentials,
     quadrature,
     sextic_model,
     superpotential_from_model,
@@ -31,18 +30,7 @@ RNG_RADII = np.random.default_rng(20260815).uniform(0.05, 6.0, size=100)
 def test_qes_gate_rejects_solvable_families():
     grid = RadialGrid(1e-3, 10.0, 101)
     with pytest.raises(ConfigurationError):
-        qes_partner_potentials(coulomb_model(1.0), grid)
-    with pytest.raises(ConfigurationError):
         qes_ground_state(coulomb_model(1.0), grid)
-
-
-def test_qes_partner_delegates_to_generic_path():
-    model = sextic_model(1.0, 1.0, ell=1)
-    grid = RadialGrid(0.3, 5.0, 101)
-    a = qes_partner_potentials(model, grid)
-    b = partner_potentials(superpotential_from_model(model), grid)
-    np.testing.assert_array_equal(a.v_minus, b.v_minus)
-    np.testing.assert_array_equal(a.v_plus, b.v_plus)
 
 
 # ------------------------------------------------- closed partner forms
@@ -54,7 +42,7 @@ def test_anharmonic_partner_closed_form():
     a, w, b = 1.5, 0.7, 0.4
     grid = RadialGrid(0.05, 6.0, 120)
     r = grid.points()
-    pp = qes_partner_potentials(anharmonic_model(a, w, b), grid)
+    pp = partner_potentials(superpotential_from_model(anharmonic_model(a, w, b)), grid)
     base = b * b * r**4 + 2 * b * w * r**3 + (w * w + 2 * a * b) * r**2 + a * a
     vm = base + (2 * a * w - 2 * b) * r - w
     vp = base + (2 * a * w + 2 * b) * r + w
@@ -86,7 +74,7 @@ def test_sextic_partner_closed_form(ell):
 
 def test_sextic_hand_values_at_unit_parameters():
     grid = RadialGrid(1.0, 3.0, 3)
-    pp = qes_partner_potentials(sextic_model(1.0, 1.0, ell=1), grid)
+    pp = partner_potentials(superpotential_from_model(sextic_model(1.0, 1.0, ell=1)), grid)
     np.testing.assert_allclose(pp.v_minus, [-4.0, 77.0, 852.0], atol=1e-12)
     assert pp.v_plus[0] == pytest.approx(6.0)
     assert pp.v_plus[1] == pytest.approx(103.5)
@@ -100,7 +88,7 @@ def test_deformed_coulomb_partner_closed_form():
     q = e2 / (2.0 * (ell + 1))
     grid = RadialGrid(0.5, 10.0, 77)
     r = grid.points()
-    pp = qes_partner_potentials(deformed_coulomb_model(e2, w, ell=ell), grid)
+    pp = partner_potentials(superpotential_from_model(deformed_coulomb_model(e2, w, ell=ell)), grid)
     common = w * w * r**2 + (e2 * w / (ell + 1)) * r - e2 / r + q * q
     vm = ell * (ell + 1) / r**2 + common - w * (2 * ell + 3)
     vp = (ell + 1) * (ell + 2) / r**2 + common - w * (2 * ell + 1)

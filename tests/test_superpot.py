@@ -1,6 +1,7 @@
 """Superpotential assembly, partner potentials, ladder operators, zero modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from susyrad import (
     DomainError,
     RadialGrid,
+    analytic_wavefunctions,
     anharmonic_model,
     apply_lowering,
     apply_raising,
@@ -17,7 +19,6 @@ from susyrad import (
     ground_state_from_w,
     morse_model,
     oscillator_model,
-    oscillator_wavefunctions,
     partner_potentials,
     quadrature,
     sextic_model,
@@ -123,11 +124,23 @@ def test_lowering_maps_level_one_to_norm_epsilon():
     model = oscillator_model(1.0)
     grid = RadialGrid(1e-4, 12.0, 2401)
     sp = superpotential_from_model(model)
-    wf = oscillator_wavefunctions(1, model, grid)
+    wf = analytic_wavefunctions(model, 1, grid)
     f1 = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
     img = apply_lowering(sp, f1, grid)
     nrm = math.sqrt(quadrature(img**2, grid))
     assert nrm == pytest.approx(2.0, rel=1e-4)  # eps_1 = sqrt(4 * 1)
+
+
+def test_lowering_at_a_singular_wall_warns_nothing():
+    """W = r - 1/r is infinite at r_min = 0, where f vanishes: the wall sample
+    is pinned to 0 without a numpy warning."""
+    grid = RadialGrid(0.0, 5.0, 101)
+    r = grid.points()
+    sp = superpotential_from_model(oscillator_model(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = apply_lowering(sp, r * np.exp(-r**2 / 2.0), grid)
+    assert img[0] == 0.0 and np.all(np.isfinite(img))
 
 
 def test_raising_after_lowering_scales_by_epsilon_sq():
@@ -139,7 +152,7 @@ def test_raising_after_lowering_scales_by_epsilon_sq():
     for n_points in (1201, 2401):
         grid = RadialGrid(1e-4, 12.0, n_points)
         r = grid.points()
-        wf = oscillator_wavefunctions(1, model, grid)
+        wf = analytic_wavefunctions(model, 1, grid)
         f1 = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
         back = apply_raising(sp, apply_lowering(sp, f1, grid), grid)
         mask = (r >= 0.5) & (r <= 11.5)
@@ -222,7 +235,7 @@ def test_ground_state_oscillator_matches_analytic_wavefunction():
     model = oscillator_model(1.0, 0.0, ell=1)
     grid = RadialGrid(1e-4, 12.0, 2401)
     f = ground_state_from_w(superpotential_from_model(model), grid)
-    wf = oscillator_wavefunctions(0, model, grid)
+    wf = analytic_wavefunctions(model, 0, grid)
     assert np.max(np.abs(f - wf.f_minus)) < 1e-9
 
 
