@@ -49,8 +49,8 @@ from .numsolve import (
     TridiagonalOperator,
     discretize,
     eigenvector,
-    isospectral_check,
     lowest_eigenvalues,
+    pair_partner_levels,
     quadrature,
 )
 from .superpot import (
@@ -86,8 +86,10 @@ class UsageError(Exception):
 class RunConfig:
     """Fully-resolved invocation: model, window, level count, method, output.
 
-    The lower problem (W, the partner potentials V-+ and the V- operator) is
-    built on first use and shared by the command and every verify check.
+    The lower problem (W, the partner potentials V-+, the V- operator, its
+    lowest `levels` eigenvalues and the eigenvectors asked for) is built on
+    first use and shared by the command and every verify check, so each
+    operator is solved once per invocation.
     """
 
     model: ModelSpec
@@ -97,6 +99,7 @@ class RunConfig:
     method: str          # analytic | numeric | both
     output_format: str   # csv | json
     checks: tuple
+    levels: int          # V- levels the command and the checks read
 
     @cached_property
     def superpotential(self) -> Superpotential:
@@ -109,6 +112,30 @@ class RunConfig:
     @cached_property
     def operator(self) -> TridiagonalOperator:
         return discretize(self.partners.v_minus, self.grid)
+
+    @cached_property
+    def spectrum(self) -> list:
+        """The lowest V- levels: one solve that every reader slices."""
+        return lowest_eigenvalues(self.operator, min(self.levels, self.operator.size))
+
+    def eigenvalues(self, k: int) -> list:
+        """The k lowest V- levels."""
+        if k > len(self.spectrum):
+            raise NumericError(f"{k} levels needed, but the grid has "
+                               f"{self.operator.size} interior points")
+        return self.spectrum[:k]
+
+    @cached_property
+    def _vectors(self) -> dict:
+        return {}
+
+    def eigenvector(self, i: int) -> np.ndarray:
+        """The V- eigenvector of level i, built once and read-only."""
+        if i not in self._vectors:
+            vec = eigenvector(self.operator, self.eigenvalues(i + 1)[i])
+            vec.flags.writeable = False
+            self._vectors[i] = vec
+        return self._vectors[i]
 
     @cached_property
     def zero_mode(self) -> np.ndarray:
@@ -153,20 +180,20 @@ def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
 
 
 def _check_isospectral(cfg):
-    rep = isospectral_check(cfg.partners.v_minus, cfg.partners.v_plus, cfg.grid, k=4,
-                            tol=CHECK_TOLERANCES["isospectral"])
+    eigs_minus = cfg.eigenvalues(4)
+    eigs_plus = lowest_eigenvalues(discretize(cfg.partners.v_plus, cfg.grid), 3)
+    rep = pair_partner_levels(eigs_minus, eigs_plus, CHECK_TOLERANCES["isospectral"])
     detail = "pair deviations " + ", ".join(f"{d:.3e}" for d in rep.deviations)
     return rep.max_abs_deviation, rep.tolerance, detail
 
 
 def _check_intertwine(cfg):
-    op = cfg.operator
-    eigs = lowest_eigenvalues(op, 4)
+    eigs = cfg.eigenvalues(4)
     worst = 0.0
     for i in (1, 2, 3):
         if eigs[i] <= 0:
             continue
-        vec = eigenvector(op, eigs[i])
+        vec = cfg.eigenvector(i)
         img = apply_lowering(cfg.superpotential, vec, cfg.grid)
         nrm = math.sqrt(quadrature(img * img, cfg.grid))
         worst = max(worst, abs(nrm - math.sqrt(eigs[i])) / math.sqrt(eigs[i]))
@@ -185,7 +212,7 @@ def _check_orthonormal(cfg):
     else:
         # numeric eigenvectors, compared in the discrete l2(h) inner product
         h = grid.h
-        vs = [eigenvector(cfg.operator, lam) for lam in lowest_eigenvalues(cfg.operator, 3)]
+        vs = [cfg.eigenvector(i) for i in range(3)]
         vecs = [v / math.sqrt(h * float(v @ v)) for v in vs]
         gram = h * np.array([[vi @ vj for vj in vecs] for vi in vecs])
         tol = CHECK_TOLERANCES["orthonormal_numeric"]
@@ -200,13 +227,12 @@ def _check_ground_residual(cfg):
 
 
 def _check_analytic_vs_numeric(cfg):
-    op = cfg.operator
     if cfg.model.is_qes:
-        level0 = lowest_eigenvalues(op, 1)[0]
+        level0 = cfg.eigenvalues(1)[0]
         return abs(level0), CHECK_TOLERANCES["analytic_vs_numeric_qes"], \
             "numeric level 0 against the closed-form zero mode"
     k = cfg.n_max + 1
-    nums = lowest_eigenvalues(op, k)
+    nums = cfg.eigenvalues(k)
     anas = [_analytic.analytic_epsilon_sq(cfg.model, n) for n in range(k)]
     metric = max(abs(nu - an) / max(1.0, abs(an)) for nu, an in zip(nums, anas))
     return metric, CHECK_TOLERANCES["analytic_vs_numeric"], \
@@ -224,6 +250,10 @@ _CHECK_RUNNERS = {
 #: every check, in report order
 CANONICAL_CHECKS = tuple(_CHECK_RUNNERS)
 
+#: V- levels a check reads when its count is fixed; analytic_vs_numeric
+#: reads n_max + 1
+_CHECK_LEVELS = {"isospectral": 4, "intertwine": 4, "orthonormal": 3}
+
 
 def run_verification(cfg: RunConfig) -> dict:
     """Execute the configured checks; returns the report payload."""
@@ -236,7 +266,8 @@ def run_verification(cfg: RunConfig) -> dict:
             metric, tol = float(metric), float(tol)
         except Exception as exc:  # infrastructure failure inside a check
             infrastructure_failed = True
-            status, metric, tol, detail = "fail", None, None, f"error: {exc}"
+            status, metric, tol = "fail", None, None
+            detail = f"error: {type(exc).__name__}: {exc}"
         entries.append({"check": name, "status": status, "metric": metric,
                         "tolerance": tol, "detail": detail})
     all_passed = all(e["status"] == "pass" for e in entries)
@@ -266,8 +297,7 @@ def cmd_spectrum(cfg: RunConfig):
             raise UsageError(f"{name} tower ends at n={model.max_level}; lower --n-max")
         ana = _analytic.analytic_spectrum(model, n_max).levels
     if cfg.method in ("numeric", "both"):
-        nums = spectrum_result(lowest_eigenvalues(cfg.operator, n_max + 1), model.units,
-                               Source.NUMERIC).levels
+        nums = spectrum_result(cfg.eigenvalues(n_max + 1), model.units, Source.NUMERIC).levels
 
     rows = []
     for n in range(n_max + 1):
@@ -294,9 +324,8 @@ def cmd_wavefunction(cfg: RunConfig):
                              f"{name} models only expose the n=0 zero mode analytically")
         eps_sq, f_m, f_p = 0.0, cfg.zero_mode, np.zeros_like(cfg.zero_mode)
     else:
-        op = cfg.operator
-        eps_sq = lowest_eigenvalues(op, n + 1)[n]
-        f_m = eigenvector(op, eps_sq)
+        eps_sq = cfg.eigenvalues(n + 1)[n]
+        f_m = cfg.eigenvector(n)
         if n == 0:
             f_p = np.zeros_like(f_m)
         else:
@@ -531,21 +560,26 @@ def resolve_config(args) -> RunConfig:
             raise UsageError(f"{family.value} models cannot run analytic_vs_numeric")
         checks = tuple(c for c in CANONICAL_CHECKS if c in names)
 
-    # the numeric spectrum and the level comparison solve n_max + 1 levels, a
-    # numeric wavefunction n + 1
+    # the numeric spectrum and the level comparison read n_max + 1 levels of
+    # V-, a numeric wavefunction n + 1, the other checks a fixed few; one
+    # solve of the largest serves them all
     n = _setting(args, file_cfg, "n", 0, int)
+    levels = max((_CHECK_LEVELS.get(c, 0) for c in checks), default=0)
     for flag, top, solved in (
             ("--n-max", n_max, "analytic_vs_numeric" in checks
              or (args.command == "spectrum" and method != "analytic")),
             ("--n", n, args.command == "wavefunction" and method == "numeric")):
-        if solved and top + 1 > grid.n_points - 2:
+        if not solved:
+            continue
+        if top + 1 > grid.n_points - 2:
             raise UsageError(f"{flag} {top} needs {top + 1} levels, but the grid has "
                              f"{grid.n_points - 2} interior points")
+        levels = max(levels, top + 1)
     if n < 0:
         raise UsageError("--n must be nonnegative")
 
     return RunConfig(model=model, grid=grid, n_max=n_max, n=n, method=method,
-                     output_format=fmt, checks=checks)
+                     output_format=fmt, checks=checks, levels=levels)
 
 
 # --------------------------------------------------------------------------

@@ -347,9 +347,9 @@ FAMILIES = {
              "custom family requires tabulated 'grid', 'w_samples' and 'w_prime_samples'"),
             (lambda m: isinstance(m.params["grid"], RadialGrid),
              "custom 'grid' must be a RadialGrid"),
-            (lambda m: len(m.params["w_samples"]) == m.params["grid"].n_points,
+            (lambda m: np.shape(m.params["w_samples"]) == (m.params["grid"].n_points,),
              "custom w_samples must have grid.n_points entries"),
-            (lambda m: len(m.params["w_prime_samples"]) == m.params["grid"].n_points,
+            (lambda m: np.shape(m.params["w_prime_samples"]) == (m.params["grid"].n_points,),
              "custom w_prime_samples must have grid.n_points entries"),
         ),
         superpotential=_custom_w,
@@ -442,12 +442,19 @@ def custom_model(grid: RadialGrid, w_samples, w_prime_samples,
         Family.CUSTOM,
         {
             "grid": grid,
-            "w_samples": np.asarray(w_samples, dtype=float),
-            "w_prime_samples": np.asarray(w_prime_samples, dtype=float),
+            "w_samples": _float_samples("w_samples", w_samples),
+            "w_prime_samples": _float_samples("w_prime_samples", w_prime_samples),
         },
         0,
         units,
     )
+
+
+def _float_samples(name: str, values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"custom {name} must be numbers") from None
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,13 @@ from susyrad import (
     cli,
     coulomb_model,
     deformed_coulomb_model,
+    eigenvector,
+    lowest_eigenvalues,
     morse_model,
     oscillator_model,
     sextic_model,
 )
+from susyrad import numsolve
 from susyrad.core import FAMILIES
 
 
@@ -310,6 +313,48 @@ def test_verify_custom_model_from_config(capsys, tmp_path):
     assert doc["all_passed"] is True
 
 
+def test_infrastructure_failure_names_the_exception_type(capsys, monkeypatch):
+    def broken(cfg):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "ground_residual", broken)
+    code, out, _ = run_cli(capsys, "verify", "--model", "oscillator",
+                           "--checks", "ground_residual")
+    assert code == 3
+    (entry,) = json.loads(out)["entries"]
+    assert entry["status"] == "fail" and entry["metric"] is None
+    assert entry["detail"] == "error: ZeroDivisionError: float division by zero"
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
+def test_default_verify_solves_each_operator_once(capsys, monkeypatch, family):
+    """One V- solve serves the command and every check, eigenvectors are
+    built once, and each check reports the same bytes as when run alone."""
+    solves, vectors = [], []
+
+    def counted_solve(op, k, *args, **kwargs):
+        solves.append(op.diag.tobytes() + op.off.tobytes())
+        return lowest_eigenvalues(op, k, *args, **kwargs)
+
+    def counted_vector(op, lam, *args, **kwargs):
+        vectors.append((op.diag.tobytes(), lam))
+        return eigenvector(op, lam, *args, **kwargs)
+
+    for module in (cli, numsolve):
+        monkeypatch.setattr(module, "lowest_eigenvalues", counted_solve)
+        monkeypatch.setattr(module, "eigenvector", counted_vector)
+    code, out, _ = run_cli(capsys, "verify", "--model", family)
+    assert code == 0
+    assert len(solves) == len(set(solves))
+    assert len(vectors) == len(set(vectors))
+    monkeypatch.undo()
+    for entry in json.loads(out)["entries"]:
+        _, alone, _ = run_cli(capsys, "verify", "--model", family, "--checks", entry["check"])
+        assert json.loads(alone)["entries"] == [entry]
+        text = "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+        assert text in out and text in alone
+
+
 def test_verify_report_is_deterministic(capsys):
     args = ("verify", "--model", "oscillator", "--checks", "orthonormal")
     _, out1, _ = run_cli(capsys, *args)
@@ -383,13 +428,25 @@ def test_config_value_of_the_wrong_kind_is_usage_error(capsys, tmp_path, command
     assert err.startswith(f"error: config value {key} ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--model", "coulomb", "--kappa", "inf"),
-    ("spectrum", "--model", "oscillator", "--grid", "0.001,inf,100"),
-    ("spectrum", "--model", "oscillator", "--grid", "0.001,1,5", "--n-max", "10"),
-    ("wavefunction", "--method", "numeric", "--n", "10", "--grid", "0.001,1,5"),
-], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid"])
-def test_bad_input_is_one_line_usage_error(capsys, argv):
+def _custom_config(w_samples):
+    return {"model": "custom", "grid": [0, 6, 5], "w_samples": w_samples,
+            "w_prime_samples": [1.0] * 5}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("spectrum", "--model", "coulomb", "--kappa", "inf"), None),
+    (("spectrum", "--model", "oscillator", "--grid", "0.001,inf,100"), None),
+    (("spectrum", "--model", "oscillator", "--grid", "0.001,1,5", "--n-max", "10"), None),
+    (("wavefunction", "--method", "numeric", "--n", "10", "--grid", "0.001,1,5"), None),
+    (("spectrum",), _custom_config(["a", 1, 2, 3, 4])),
+    (("spectrum",), _custom_config(3)),
+], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid",
+        "custom-w-text", "custom-w-scalar"])
+def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(cfgfile))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)

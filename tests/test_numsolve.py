@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from susyrad import (
@@ -22,7 +24,9 @@ from susyrad import (
     sturm_count,
     superpotential_from_model,
 )
-from susyrad.numsolve import TridiagonalOperator
+from susyrad.numsolve import TridiagonalOperator, _newton_sweep, _ShiftedLU
+
+EPS = np.finfo(float).eps
 
 
 def test_discretize_free_particle_entries():
@@ -259,3 +263,120 @@ def test_oscillator_levels_on_pinned_coarse_window():
     pp = partner_potentials(superpotential_from_model(m), grid)
     eigs = lowest_eigenvalues(discretize(pp.v_minus, grid), 5)
     assert max(abs(e - 4.0 * n) for n, e in enumerate(eigs)) < 1e-3
+
+
+# ------------------------------------------------------------------ properties
+
+
+@st.composite
+def tridiagonal_operators(draw):
+    """Symmetric tridiagonal operators with n <= 200 of four kinds: generic;
+    decoupled (zero off-diagonal, so eigenvalues repeat exactly); stiff, a
+    wall that puts ||T|| near 4e9 as on the Morse window; and Coulomb-like,
+    whose levels cluster below zero."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["generic", "decoupled", "stiff", "coulomb"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "generic":
+        d, e = rng.uniform(-10.0, 10.0, n), rng.uniform(-5.0, 5.0, n - 1)
+    elif kind == "decoupled":
+        d, e = rng.integers(-3, 4, n).astype(float), np.zeros(n - 1)
+    elif kind == "stiff":
+        x = np.linspace(0.0, 1.0, n)
+        h = 1.0 / (n + 1)
+        d = 2.0 / h**2 + 4e9 * np.exp(-40.0 * x) + rng.uniform(-1.0, 1.0, n)
+        e = np.full(n - 1, -1.0 / h**2)
+    else:
+        r_max = rng.uniform(50.0, 300.0)
+        h = r_max / (n + 1)
+        r = h * np.arange(1, n + 1)
+        ell = int(rng.integers(0, 3))
+        d = 2.0 / h**2 - 2.0 * rng.uniform(0.5, 2.0) / r + ell * (ell + 1) / r**2
+        e = np.full(n - 1, -1.0 / h**2)
+    return _toy_operator(d, e)
+
+
+def _eff_tol(op, tol):
+    """The solver's bracket floor max(tol, 8 eps ||T||), ||T|| from Gershgorin."""
+    max_off = float(np.max(np.abs(op.off))) if op.size > 1 else 0.0
+    norm = max(abs(float(np.min(op.diag)) - 2.0 * max_off),
+               abs(float(np.max(op.diag)) + 2.0 * max_off), 1.0)
+    return max(tol, 8.0 * EPS * norm), norm
+
+
+@given(op=tridiagonal_operators(), k_share=st.floats(0.0, 1.0),
+       tol=st.sampled_from([1e-10, 1e-6, 1e-12]))
+def test_levels_agree_with_lapack_and_carry_their_sturm_certificate(op, k_share, tol):
+    k = 1 + int(k_share * (min(op.size, 12) - 1))
+    eigs = lowest_eigenvalues(op, k, tol=tol)
+    eff_tol, norm = _eff_tol(op, tol)
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True)[:k]
+    assert np.max(np.abs(np.array(eigs) - ref)) <= eff_tol + 8.0 * EPS * norm
+    assert eigs == sorted(eigs)
+    for i, lam in enumerate(eigs):
+        assert sturm_count(op, lam - 0.5 * eff_tol) <= i < sturm_count(op, lam + 0.5 * eff_tol)
+
+
+@given(op=tridiagonal_operators(), k_share=st.floats(0.0, 1.0), j_share=st.floats(0.0, 1.0))
+def test_level_i_does_not_depend_on_how_many_levels_are_solved(op, k_share, j_share):
+    k = 1 + int(k_share * (min(op.size, 12) - 1))
+    j = 1 + int(j_share * (k - 1))
+    assert lowest_eigenvalues(op, k)[:j] == lowest_eigenvalues(op, j)
+
+
+def test_newton_sweep_slope_is_the_log_det_derivative():
+    """The sweep's slope is d/dlam log|det(T - lam)| = sum_j 1/(lam - lam_j),
+    and its count is the Sturm count."""
+    rng = np.random.default_rng(5)
+    d, e = rng.uniform(-4.0, 4.0, 50), rng.uniform(-2.0, 2.0, 49)
+    op = _toy_operator(d, e)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True)
+    for lam in (-9.0, 0.1234, 2.5, 9.0):
+        count, slope = _newton_sweep(op, lam)
+        assert count == sturm_count(op, lam)
+        assert slope == pytest.approx(float(np.sum(1.0 / (lam - ref))), rel=1e-9)
+
+
+def _solve_shifted_reference(diag, off, shift, rhs):
+    """Tridiagonal LU with partial pivoting on numpy arrays, factoring and
+    solving in one pass: the elimination the factor-once solve replays."""
+    n = len(diag)
+    A, B, C = np.empty(n), np.zeros(n), np.zeros(n)
+    A[0] = diag[0] - shift
+    if n > 1:
+        B[0] = off[0]
+    y = np.array(rhs, dtype=float)
+    for i in range(n - 1):
+        r2_a, r2_b = off[i], diag[i + 1] - shift
+        r2_c = off[i + 1] if i + 2 < n else 0.0
+        r2_y = y[i + 1]
+        if abs(r2_a) > abs(A[i]):
+            A[i], r2_a = r2_a, A[i]
+            B[i], r2_b = r2_b, B[i]
+            C[i], r2_c = r2_c, C[i]
+            y[i], r2_y = r2_y, y[i]
+        m = r2_a / A[i]
+        A[i + 1] = r2_b - m * B[i]
+        B[i + 1] = r2_c - m * C[i]
+        y[i + 1] = r2_y - m * y[i]
+    x = np.empty(n)
+    x[n - 1] = y[n - 1] / A[n - 1]
+    if n >= 2:
+        x[n - 2] = (y[n - 2] - B[n - 2] * x[n - 1]) / A[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (y[i] - B[i] * x[i + 1] - C[i] * x[i + 2]) / A[i]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_factor_once_solve_is_bit_identical_to_the_one_pass_elimination(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-2.0, 2.0, n - 1)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else d
+    for shift in (ref[0] + 1e-9, 0.5 * (ref[0] + ref[-1]) + 1e-3):
+        lu = _ShiftedLU(d, e, shift)
+        rhs = rng.uniform(-1.0, 1.0, n)
+        for _ in range(3):  # the factors are replayed, never consumed
+            x = lu.solve(rhs)
+            assert x.tobytes() == _solve_shifted_reference(d, e, shift, rhs).tobytes()
+            rhs = x / np.linalg.norm(x)
