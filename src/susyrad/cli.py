@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -65,17 +66,6 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-#: tolerances for the verify checks (documented in the README)
-CHECK_TOLERANCES = {
-    "isospectral": 2e-3,
-    "intertwine": 1e-2,
-    "orthonormal": 1e-6,
-    "orthonormal_numeric": 1e-8,
-    "ground_residual_h2": 50.0,   # tolerance is 50 * h^2
-    "analytic_vs_numeric": 1e-3,
-    "analytic_vs_numeric_qes": 5e-4,
-}
 
 
 class UsageError(Exception):
@@ -149,6 +139,11 @@ class RunConfig:
 # Default windows
 
 
+#: the highest level a verify check reads at any n_max: the closed-form Gram
+#: spans levels 0-4, the others read at most V- levels 0-3
+VERIFY_TOP_LEVEL = 4
+
+
 def default_grid(model: ModelSpec, n_max: int) -> RadialGrid:
     """Documented default window per family, scaled to the model parameters."""
     return model.record.window(model, n_max)
@@ -158,31 +153,10 @@ def default_grid(model: ModelSpec, n_max: int) -> RadialGrid:
 # Verify checks
 
 
-def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
-    """Checks that are meaningful for this model on this window.
-
-    The pairing-sensitive checks (isospectral shift, level-0 comparison)
-    assume the lower zero mode is compatible with the Dirichlet wall at
-    r_min; that is diagnosed directly from exp(-int W): they are included
-    only when the zero mode at the wall is below 1e-3 of its peak.
-    """
-    selected = {"intertwine", "orthonormal", "ground_residual"}
-    try:
-        f0 = ground_state_from_w(superpotential_from_model(model), grid)
-        wall_ok = abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
-    except (DomainError, NumericError):
-        wall_ok = False
-    if wall_ok:
-        selected.add("isospectral")
-        if model.record.closed_form != "none":
-            selected.add("analytic_vs_numeric")
-    return tuple(c for c in CANONICAL_CHECKS if c in selected)
-
-
 def _check_isospectral(cfg):
     eigs_minus = cfg.eigenvalues(4)
     eigs_plus = lowest_eigenvalues(discretize(cfg.partners.v_plus, cfg.grid), 3)
-    rep = pair_partner_levels(eigs_minus, eigs_plus, CHECK_TOLERANCES["isospectral"])
+    rep = pair_partner_levels(eigs_minus, eigs_plus, 2e-3)
     detail = "pair deviations " + ", ".join(f"{d:.3e}" for d in rep.deviations)
     return rep.max_abs_deviation, rep.tolerance, detail
 
@@ -197,85 +171,104 @@ def _check_intertwine(cfg):
         img = apply_lowering(cfg.superpotential, vec, cfg.grid)
         nrm = math.sqrt(quadrature(img * img, cfg.grid))
         worst = max(worst, abs(nrm - math.sqrt(eigs[i])) / math.sqrt(eigs[i]))
-    return worst, CHECK_TOLERANCES["intertwine"], "relative norm defect of lowered levels 1-3"
+    return worst, 1e-2, "relative norm defect of lowered levels 1-3"
 
 
 def _check_orthonormal(cfg):
     model, grid = cfg.model, cfg.grid
     if model.record.closed_form == "all":
         fs = [_analytic.analytic_wavefunctions(model, n, grid).f_minus
-              for n in range(min(5, model.max_level + 1))]
+              for n in range(min(VERIFY_TOP_LEVEL + 1, model.max_level + 1))]
         vecs = [f / math.sqrt(quadrature(f * f, grid)) for f in fs]
         gram = np.array([[quadrature(vi * vj, grid) for vj in vecs] for vi in vecs])
-        tol = CHECK_TOLERANCES["orthonormal"]
-        detail = f"lower-component Gram of levels 0-{len(vecs) - 1} vs identity"
+        tol, detail = 1e-6, f"lower-component Gram of levels 0-{len(vecs) - 1} vs identity"
     else:
         # numeric eigenvectors, compared in the discrete l2(h) inner product
         h = grid.h
         vs = [cfg.eigenvector(i) for i in range(3)]
         vecs = [v / math.sqrt(h * float(v @ v)) for v in vs]
         gram = h * np.array([[vi @ vj for vj in vecs] for vi in vecs])
-        tol = CHECK_TOLERANCES["orthonormal_numeric"]
-        detail = "l2(h) Gram of numeric levels 0-2"
+        tol, detail = 1e-8, "l2(h) Gram of numeric levels 0-2"
     return float(np.max(np.abs(gram - np.eye(len(vecs))))), tol, detail
 
 
 def _check_ground_residual(cfg):
     residual = _qes.zero_mode_residual(cfg.zero_mode, cfg.partners.v_minus, cfg.grid)
-    tol = CHECK_TOLERANCES["ground_residual_h2"] * cfg.grid.h**2
-    return residual, tol, "sup residual of the zero mode at epsilon^2 = 0"
+    return residual, 50.0 * cfg.grid.h**2, "sup residual of the zero mode at epsilon^2 = 0"
 
 
 def _check_analytic_vs_numeric(cfg):
     if cfg.model.is_qes:
         level0 = cfg.eigenvalues(1)[0]
-        return abs(level0), CHECK_TOLERANCES["analytic_vs_numeric_qes"], \
-            "numeric level 0 against the closed-form zero mode"
+        return abs(level0), 5e-4, "numeric level 0 against the closed-form zero mode"
     k = cfg.n_max + 1
     nums = cfg.eigenvalues(k)
     anas = [_analytic.analytic_epsilon_sq(cfg.model, n) for n in range(k)]
     metric = max(abs(nu - an) / max(1.0, abs(an)) for nu, an in zip(nums, anas))
-    return metric, CHECK_TOLERANCES["analytic_vs_numeric"], \
-        f"levels 0-{cfg.n_max}, relative to max(1, epsilon^2)"
+    return metric, 1e-3, f"levels 0-{cfg.n_max}, relative to max(1, epsilon^2)"
 
 
-_CHECK_RUNNERS = {
-    "isospectral": _check_isospectral,
-    "intertwine": _check_intertwine,
-    "orthonormal": _check_orthonormal,
-    "ground_residual": _check_ground_residual,
-    "analytic_vs_numeric": _check_analytic_vs_numeric,
-}
+@dataclass(frozen=True)
+class Check:
+    """One verify check: `run(cfg) -> (metric, tolerance, detail)` passes when
+    metric < tolerance and reads `levels(model, n_max)` V- levels. Its premises:
+    the zero mode clears the wall at r_min (else it is left out by default),
+    and the family has closed-form levels (else it is left out or refused)."""
+
+    run: Callable
+    levels: Callable
+    needs_clear_wall: bool = False
+    needs_closed_form: bool = False
+
 
 #: every check, in report order
-CANONICAL_CHECKS = tuple(_CHECK_RUNNERS)
+CHECKS = {
+    "isospectral": Check(_check_isospectral, lambda m, n_max: 4, needs_clear_wall=True),
+    "intertwine": Check(_check_intertwine, lambda m, n_max: 4),
+    "orthonormal": Check(_check_orthonormal,
+                         lambda m, n_max: 0 if m.record.closed_form == "all" else 3),
+    "ground_residual": Check(_check_ground_residual, lambda m, n_max: 0),
+    "analytic_vs_numeric": Check(_check_analytic_vs_numeric,
+                                 lambda m, n_max: 1 if m.is_qes else n_max + 1,
+                                 needs_clear_wall=True, needs_closed_form=True),
+}
 
-#: V- levels a check reads when its count is fixed; analytic_vs_numeric
-#: reads n_max + 1
-_CHECK_LEVELS = {"isospectral": 4, "intertwine": 4, "orthonormal": 3}
+CANONICAL_CHECKS = tuple(CHECKS)
+
+#: the runners as a plain name -> function dict, the one table
+#: run_verification dispatches through, so a runner can be swapped by name
+_CHECK_RUNNERS = {name: check.run for name, check in CHECKS.items()}
+
+
+def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
+    """Checks whose premises hold for this model on this window. The Dirichlet
+    wall at r_min is clear when the zero mode exp(-int W) there is below 1e-3
+    of its peak."""
+    try:
+        f0 = ground_state_from_w(superpotential_from_model(model), grid)
+        wall_clear = abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
+    except (DomainError, NumericError):
+        wall_clear = False
+    has_closed_form = model.record.closed_form != "none"
+    return tuple(name for name, check in CHECKS.items()
+                 if (wall_clear or not check.needs_clear_wall)
+                 and (has_closed_form or not check.needs_closed_form))
 
 
 def run_verification(cfg: RunConfig) -> dict:
     """Execute the configured checks; returns the report payload."""
     entries = []
-    infrastructure_failed = False
     for name in cfg.checks:
         try:
             metric, tol, detail = _CHECK_RUNNERS[name](cfg)
             status = "pass" if metric < tol else "fail"
             metric, tol = float(metric), float(tol)
-        except Exception as exc:  # infrastructure failure inside a check
-            infrastructure_failed = True
+        except Exception as exc:  # the check cannot run: "metric": null
             status, metric, tol = "fail", None, None
             detail = f"error: {type(exc).__name__}: {exc}"
         entries.append({"check": name, "status": status, "metric": metric,
                         "tolerance": tol, "detail": detail})
-    all_passed = all(e["status"] == "pass" for e in entries)
-    return {
-        "entries": entries,
-        "all_passed": all_passed,
-        "_infrastructure_failed": infrastructure_failed,
-    }
+    return {"entries": entries, "all_passed": all(e["status"] == "pass" for e in entries)}
 
 
 # --------------------------------------------------------------------------
@@ -289,12 +282,8 @@ def cmd_spectrum(cfg: RunConfig):
         if model.record.closed_form == "none":
             raise UsageError(f"{name} models have no analytic spectrum; use --method numeric")
         if model.is_qes and n_max >= 1:
-            raise UsageError(
-                f"{name} has only its ground state in closed form; "
-                "use --method numeric (or --n-max 0)"
-            )
-        if n_max > model.max_level:
-            raise UsageError(f"{name} tower ends at n={model.max_level}; lower --n-max")
+            raise UsageError(f"{name} has only its ground state in closed form; "
+                             "use --method numeric (or --n-max 0)")
         ana = _analytic.analytic_spectrum(model, n_max).levels
     if cfg.method in ("numeric", "both"):
         nums = spectrum_result(cfg.eigenvalues(n_max + 1), model.units, Source.NUMERIC).levels
@@ -387,8 +376,7 @@ def render_samples(payload, fmt: str, columns) -> str:
 
 
 def render_verify(report: dict) -> str:
-    clean = {"entries": report["entries"], "all_passed": report["all_passed"]}
-    return json.dumps(clean, indent=2) + "\n"
+    return json.dumps(report, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -527,6 +515,8 @@ def resolve_config(args) -> RunConfig:
             raise UsageError("--n-max must be nonnegative")
         if grid_setting is not None:
             grid = _parse_grid(grid_setting)
+        elif args.command == "verify":
+            grid = default_grid(model, max(n_max, VERIFY_TOP_LEVEL))
         else:
             grid = default_grid(model, n_max)
     except (ConfigurationError, DomainError, NumericError) as exc:
@@ -553,30 +543,38 @@ def resolve_config(args) -> RunConfig:
         checks = default_checks(model, grid) if args.command == "verify" else ()
     else:
         names = tuple(s.strip() for s in str(checks_setting).split(",") if s.strip())
-        bad = [c for c in names if c not in CANONICAL_CHECKS]
+        bad = [c for c in names if c not in CHECKS]
         if bad:
             raise UsageError(f"unknown checks: {', '.join(bad)}")
-        if record.closed_form == "none" and "analytic_vs_numeric" in names:
-            raise UsageError(f"{family.value} models cannot run analytic_vs_numeric")
-        checks = tuple(c for c in CANONICAL_CHECKS if c in names)
+        if not names:
+            raise UsageError(f"--checks names no check; choose from {', '.join(CHECKS)}")
+        refused = [c for c in CHECKS if c in names and CHECKS[c].needs_closed_form]
+        if refused and record.closed_form == "none":
+            raise UsageError(f"{family.value} models cannot run {', '.join(refused)}")
+        checks = tuple(c for c in CHECKS if c in names) if args.command == "verify" else ()
 
-    # the numeric spectrum and the level comparison read n_max + 1 levels of
-    # V-, a numeric wavefunction n + 1, the other checks a fixed few; one
-    # solve of the largest serves them all
+    # one V- solve serves every reader (the numeric spectrum, a numeric
+    # wavefunction, each check verify runs); the largest sets the level count
     n = _setting(args, file_cfg, "n", 0, int)
-    levels = max((_CHECK_LEVELS.get(c, 0) for c in checks), default=0)
-    for flag, top, solved in (
-            ("--n-max", n_max, "analytic_vs_numeric" in checks
-             or (args.command == "spectrum" and method != "analytic")),
-            ("--n", n, args.command == "wavefunction" and method == "numeric")):
-        if not solved:
-            continue
-        if top + 1 > grid.n_points - 2:
-            raise UsageError(f"{flag} {top} needs {top + 1} levels, but the grid has "
-                             f"{grid.n_points - 2} interior points")
-        levels = max(levels, top + 1)
+    readers = [(f"the {c} check", CHECKS[c].levels(model, n_max)) for c in checks]
+    if args.command == "spectrum" and method != "analytic":
+        readers.append((f"--n-max {n_max}", n_max + 1))
+    if args.command == "wavefunction" and method == "numeric":
+        readers.append((f"--n {n}", n + 1))
+    reader, levels = max(readers, key=lambda r: r[1], default=(None, 0))
+    if levels > grid.n_points - 2:
+        raise UsageError(f"{reader} needs {levels} levels, but the grid has "
+                         f"{grid.n_points - 2} interior points")
     if n < 0:
         raise UsageError("--n must be nonnegative")
+
+    # a finite tower (Morse) has no closed form above its top level
+    for flag, top, closed_form_reader in (
+            ("--n-max", n_max, (args.command == "spectrum" and method != "numeric")
+             or any(CHECKS[c].needs_closed_form for c in checks)),
+            ("--n", n, args.command == "wavefunction" and method == "analytic")):
+        if closed_form_reader and top > model.max_level:
+            raise UsageError(f"{family.value} tower ends at n={model.max_level}; lower {flag}")
 
     return RunConfig(model=model, grid=grid, n_max=n_max, n=n, method=method,
                      output_format=fmt, checks=checks, levels=levels)
@@ -618,7 +616,7 @@ def main(argv=None) -> int:
         # verify
         report = run_verification(cfg)
         sys.stdout.write(render_verify(report))
-        if report["_infrastructure_failed"]:
+        if any(e["metric"] is None for e in report["entries"]):
             return EXIT_RUNTIME
         return EXIT_OK if report["all_passed"] else EXIT_CHECKS_FAILED
     except UsageError as exc:

@@ -266,6 +266,53 @@ def test_verify_wall_compatible_qes_gets_spectral_checks(capsys):
     assert doc["all_passed"] is True
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_default_verify_window_covers_the_levels_the_checks_read(capsys, n_max):
+    # the closed-form Gram spans levels 0-4 whatever --n-max is
+    code, out, _ = run_cli(capsys, "verify", "--model", "coulomb", "--n-max", str(n_max))
+    assert code == 0
+    assert [e["check"] for e in json.loads(out)["entries"]] == list(cli.CHECKS)
+
+
+def test_qes_level_comparison_reads_level_zero_only(capsys):
+    argv = ["verify", "--model", "anharmonic", "--a", "-8"]
+    assert cli.resolve_config(cli.build_parser().parse_args(argv)).levels == 4
+    code, out, err = run_cli(capsys, "verify", "--model", "anharmonic", "--checks",
+                             "analytic_vs_numeric", "--n-max", "10", "--grid", "0.001,1,5")
+    assert code in (0, 1) and err == ""
+    (entry,) = json.loads(out)["entries"]
+    assert entry["metric"] is not None
+
+
+def test_check_that_cannot_run_exits_3(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--model", "oscillator", "--grid", "0.001,1,5",
+                           "--checks", "ground_residual")
+    assert code == 3
+    doc = json.loads(out)
+    assert set(doc) == {"entries", "all_passed"} and doc["all_passed"] is False
+    assert doc["entries"][0]["metric"] is None
+    assert doc["entries"][0]["detail"].startswith("error: DomainError: ")
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_check_table_counts_the_levels_each_runner_reads(monkeypatch, family, name):
+    """Run alone on its default window, each check asks RunConfig.eigenvalues
+    for exactly the number of V- levels its CHECKS entry declares."""
+    asked = [0]
+    eigenvalues = cli.RunConfig.eigenvalues
+
+    def counted(self, k):
+        asked[0] = max(asked[0], k)
+        return eigenvalues(self, k)
+
+    monkeypatch.setattr(cli.RunConfig, "eigenvalues", counted)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["verify", "--model", family, "--checks", name]))
+    cli.CHECKS[name].run(cfg)
+    assert asked[0] == cli.CHECKS[name].levels(cfg.model, cfg.n_max) == cfg.levels
+
+
 def test_verify_checks_subset_in_canonical_order(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "oscillator",
                            "--checks", "orthonormal,intertwine")
@@ -440,8 +487,13 @@ def _custom_config(w_samples):
     (("wavefunction", "--method", "numeric", "--n", "10", "--grid", "0.001,1,5"), None),
     (("spectrum",), _custom_config(["a", 1, 2, 3, 4])),
     (("spectrum",), _custom_config(3)),
+    (("verify", "--model", "oscillator", "--grid", "0.001,1,5"), None),
+    (("verify", "--model", "morse", "--n-max", "5"), None),
+    (("wavefunction", "--model", "morse", "--n", "3"), None),
+    (("verify", "--checks", ","), None),
 ], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid",
-        "custom-w-text", "custom-w-scalar"])
+        "custom-w-text", "custom-w-scalar", "checks-beyond-grid", "verify-beyond-tower",
+        "wavefunction-beyond-tower", "no-checks"])
 def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
         cfgfile = tmp_path / "cfg.json"
