@@ -24,6 +24,7 @@ from .core import (
     RadialGrid,
     Source,
     SpectrumResult,
+    Superpotential,
     spectrum_result,
 )
 from .numsolve import quadrature
@@ -108,13 +109,25 @@ def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> Radial
     if sp.singular_coefficient != 0.0 and grid.r_min <= 0.0:
         raise DomainError(f"{model.family.value} wavefunctions require r_min > 0")
     k_power, z, alpha = model.record.envelope(model, n, grid.points())
-    raw = _laguerre_envelope(k_power, z, n, alpha)
-    nrm = math.sqrt(quadrature(raw**2, grid))
+    return spinor_from_lower(sp, _laguerre_envelope(k_power, z, n, alpha), n, eps_sq, grid)
+
+
+def spinor_from_lower(sp: Superpotential, f_minus: np.ndarray, n: int, eps_sq: float,
+                      grid: RadialGrid) -> RadialWavefunction:
+    """Level n from its lower component at epsilon_sq, closed-form or numeric.
+
+    f_- is scaled to unit norm, f_+ is its image under the lowering operator
+    divided by epsilon (zero for the n = 0 zero mode), and the pair is then
+    normalized jointly.
+    """
+    nrm = math.sqrt(quadrature(f_minus**2, grid))
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DomainError("wavefunction vanishes or overflows on this grid")
-    f_minus = raw / nrm
+    f_minus = f_minus / nrm
     if n == 0:
         f_plus = np.zeros_like(f_minus)
+    elif eps_sq <= 0:
+        raise DomainError("cannot form the upper component at epsilon^2 <= 0")
     else:
         f_plus = apply_lowering(sp, f_minus, grid) / math.sqrt(eps_sq)
     scale = 1.0 / math.sqrt(quadrature(f_minus**2 + f_plus**2, grid))

@@ -129,10 +129,14 @@ class RunConfig:
 
     @cached_property
     def zero_mode(self) -> np.ndarray:
-        """Closed-form zero mode: the QES formula, else exp(-int W)."""
-        if self.model.is_qes:
-            return _qes.qes_ground_state(self.model, self.grid).f0
-        return ground_state_from_w(self.superpotential, self.grid)
+        return zero_mode(self.model, self.grid)
+
+
+def zero_mode(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
+    """Closed-form zero mode: the QES formula, else exp(-int W)."""
+    if model.is_qes:
+        return _qes.qes_ground_state(model, grid).f0
+    return ground_state_from_w(superpotential_from_model(model), grid)
 
 
 # --------------------------------------------------------------------------
@@ -212,11 +216,13 @@ def _check_analytic_vs_numeric(cfg):
 class Check:
     """One verify check: `run(cfg) -> (metric, tolerance, detail)` passes when
     metric < tolerance and reads `levels(model, n_max)` V- levels. Its premises:
-    the zero mode clears the wall at r_min (else it is left out by default),
-    and the family has closed-form levels (else it is left out or refused)."""
+    the closed-form zero mode exists on the window, and it clears the wall at
+    r_min (else the check is left out by default); the family has closed-form
+    levels (else it is left out or refused)."""
 
     run: Callable
     levels: Callable
+    needs_zero_mode: bool = False
     needs_clear_wall: bool = False
     needs_closed_form: bool = False
 
@@ -225,9 +231,11 @@ class Check:
 CHECKS = {
     "isospectral": Check(_check_isospectral, lambda m, n_max: 4, needs_clear_wall=True),
     "intertwine": Check(_check_intertwine, lambda m, n_max: 4),
+    # the closed-form states of a solvable family exist where its zero mode does
     "orthonormal": Check(_check_orthonormal,
-                         lambda m, n_max: 0 if m.record.closed_form == "all" else 3),
-    "ground_residual": Check(_check_ground_residual, lambda m, n_max: 0),
+                         lambda m, n_max: 0 if m.record.closed_form == "all" else 3,
+                         needs_zero_mode=True),
+    "ground_residual": Check(_check_ground_residual, lambda m, n_max: 0, needs_zero_mode=True),
     "analytic_vs_numeric": Check(_check_analytic_vs_numeric,
                                  lambda m, n_max: 1 if m.is_qes else n_max + 1,
                                  needs_clear_wall=True, needs_closed_form=True),
@@ -241,17 +249,19 @@ _CHECK_RUNNERS = {name: check.run for name, check in CHECKS.items()}
 
 
 def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
-    """Checks whose premises hold for this model on this window. The Dirichlet
-    wall at r_min is clear when the zero mode exp(-int W) there is below 1e-3
-    of its peak."""
+    """Checks whose premises hold for this model on this window. The zero mode
+    exists when it can be built and decays by r_max (a 1/r pole in W needs
+    r_min > 0); the Dirichlet wall at r_min is clear when the zero mode there
+    is below 1e-3 of its peak."""
     try:
-        f0 = ground_state_from_w(superpotential_from_model(model), grid)
-        wall_clear = abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
+        f0 = zero_mode(model, grid)
+        has_zero_mode, wall_clear = True, abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
     except (DomainError, NumericError):
-        wall_clear = False
+        has_zero_mode = wall_clear = False
     has_closed_form = model.record.closed_form != "none"
     return tuple(name for name, check in CHECKS.items()
-                 if (wall_clear or not check.needs_clear_wall)
+                 if (has_zero_mode or not check.needs_zero_mode)
+                 and (wall_clear or not check.needs_clear_wall)
                  and (has_closed_form or not check.needs_closed_form))
 
 
@@ -302,27 +312,18 @@ def cmd_wavefunction(cfg: RunConfig):
     model, grid, n = cfg.model, cfg.grid, cfg.n
     if cfg.method == "both":
         raise UsageError("wavefunction needs --method analytic or numeric, not both")
-    if cfg.method == "analytic" and model.record.closed_form == "all":
-        wf = _analytic.analytic_wavefunctions(model, n, grid)
-        eps_sq, f_m, f_p = wf.epsilon_sq, wf.f_minus, wf.f_plus
-    elif cfg.method == "analytic":  # only the zero mode is known in closed form
-        name = model.family.value
+    if cfg.method == "analytic" and model.record.closed_form != "all":
+        name = model.family.value  # only the zero mode is known in closed form
         if n != 0:
             raise UsageError(f"{name} has only n=0 in closed form; use --method numeric"
                              if model.is_qes else
                              f"{name} models only expose the n=0 zero mode analytically")
         eps_sq, f_m, f_p = 0.0, cfg.zero_mode, np.zeros_like(cfg.zero_mode)
     else:
-        eps_sq = cfg.eigenvalues(n + 1)[n]
-        f_m = cfg.eigenvector(n)
-        if n == 0:
-            f_p = np.zeros_like(f_m)
-        else:
-            if eps_sq <= 0:
-                raise DomainError("cannot form the upper component at epsilon^2 <= 0")
-            f_p = apply_lowering(cfg.superpotential, f_m, grid) / math.sqrt(eps_sq)
-        scale = 1.0 / math.sqrt(quadrature(f_m * f_m + f_p * f_p, grid))
-        f_m, f_p = f_m * scale, f_p * scale
+        wf = (_analytic.analytic_wavefunctions(model, n, grid) if cfg.method == "analytic"
+              else _analytic.spinor_from_lower(cfg.superpotential, cfg.eigenvector(n), n,
+                                               cfg.eigenvalues(n + 1)[n], grid))
+        eps_sq, f_m, f_p = wf.epsilon_sq, wf.f_minus, wf.f_plus
     r = grid.points()
     return {"n": n, "epsilon_sq": float(eps_sq), "r": r, "f_minus": f_m, "f_plus": f_p}
 

@@ -2,8 +2,8 @@
 
 This module is the oracle the closed-form results are judged against, so it
 deliberately shares no code with the analytic paths: a three-point Laplacian
-with Dirichlet walls, Sturm-sequence counts for eigenvalues, inverse
-iteration for eigenvectors, and composite Simpson quadrature.  Plain numpy
+with Dirichlet walls, Sturm-sequence counts for eigenvalues, a twisted
+factorization for eigenvectors, and composite Simpson quadrature.  Plain numpy
 only.
 
 Eigenvalues are solved level by level.  Sturm counts isolate each level in a
@@ -11,8 +11,9 @@ bracket holding that one eigenvalue; every count is kept and narrows the
 bracket of every later level.  A Newton iteration on log|det(T - lam)|, whose
 derivative rides along the same pivot recurrence, then refines the level,
 and two more counts certify the result to the same tolerance bisection would
-give.  Inverse iteration factors each shifted operator once and replays the
-factors for every iteration.
+give.  A count stops early once the rows left are diagonally dominant
+enough at lam that none of their pivots can turn negative.  An eigenvector
+takes one forward and one backward pivot sweep at its level.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -24,6 +25,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .core import DomainError, NumericError, RadialGrid
 
 _MAX_BISECTIONS = 200
 _MAX_NEWTON_STEPS = 100
-_INVERSE_ITERATIONS = 5
+_EXIT_TEST_ROWS = 128
 _EPS = np.finfo(float).eps
 
 
@@ -52,14 +54,25 @@ class TridiagonalOperator:
 
     @cached_property
     def _sweep_rows(self) -> tuple:
-        """What a Sturm sweep reads, as Python floats: diag[0], the later
-        diagonal entries, the squared off-diagonal entries, and pivmin."""
+        """What a sweep reads: the diagonal and the squared off-diagonal
+        entries as Python floats, the squares led by 0.0 so that entry i
+        couples row i to row i-1; |e_{i-1}| as a numpy array led by 0.0
+        alike; pivmin; and `safe`, the suffix minimum of each row's
+        rounding-widened Gershgorin bottom (see sturm_count)."""
         d = self.diag.tolist()
         # equal entries share one float object: a uniform grid has a single one
         unique = {}
-        e2 = [unique.setdefault(v, v) for v in (self.off * self.off).tolist()]
-        pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2, default=1.0))
-        return d[0], d[1:], e2, pivmin
+        e2 = [unique.setdefault(v, v) for v in chain([0.0], (self.off * self.off).tolist())]
+        pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2))
+        e_abs = np.append(0.0, np.abs(self.off))
+        spread = e_abs + np.append(e_abs[1:], 0.0)
+        bottom = self.diag - spread
+        spread += np.abs(self.diag)
+        spread *= 4.0 * _EPS
+        bottom -= spread
+        bottom -= 2.0 * pivmin
+        safe = np.minimum.accumulate(bottom[::-1])[::-1]
+        return d, e2, e_abs, pivmin, safe
 
 
 def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
@@ -90,20 +103,28 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     clamping after miscounts when lam hits an eigenvalue of a leading minor,
     and pivmin is scaled by max(e^2) so the following division cannot
     overflow.
+
+    The sweep stops before row i once q_{i-1} >= |e_{i-1}| and every row
+    j >= i has d_j - |e_{j-1}| - |e_j| - 4 eps (|d_j| + |e_{j-1}| + |e_j|)
+    - 2 pivmin >= lam + 4 eps |lam|.  Then each later pivot is at least
+    |e_j| + pivmin, rounding included, so none is counted and the count
+    equals the full sweep's.
     """
-    d0, d_rest, e2_all, pivmin = op._sweep_rows
-    count = 0
-    q = d0 - lam
-    if q < pivmin:  # q <= 0, or |q| < pivmin and clamped to -pivmin
-        count += 1
-        if q > -pivmin:
-            q = -pivmin
-    for d, e2 in zip(d_rest, e2_all):
-        q = d - lam - e2 / q
-        if q < pivmin:
-            count += 1
-            if q > -pivmin:
-                q = -pivmin
+    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
+    tail = int(np.searchsorted(safe, lam + 4.0 * _EPS * abs(lam)))
+    rows, n = zip(d, e2_all), len(d)
+    count, q, i, block = 0, math.inf, 0, tail
+    # rows go in blocks, and the exit test runs between blocks: once it
+    # holds it holds for every later row, so testing late changes nothing
+    while i < n and (i < tail or q < e_abs[i]):
+        for di, e2 in islice(rows, block):
+            q = di - lam - e2 / q
+            if q < pivmin:  # q <= 0, or |q| < pivmin and clamped to -pivmin
+                count += 1
+                if q > -pivmin:
+                    q = -pivmin
+        i += block
+        block = _EXIT_TEST_ROWS
     return count
 
 
@@ -113,20 +134,14 @@ def _newton_sweep(op: TridiagonalOperator, lam: float) -> tuple:
     log|det| is the sum of log|q_i| over the pivots, so the slope is the sum
     of q_i'/q_i.  Differentiating q_i = d_i - lam - e_{i-1}^2/q_{i-1} gives
     q_i' = -1 + (e_{i-1}^2/q_{i-1}) (q_{i-1}'/q_{i-1}); t carries q_i'/q_i.
-    The pivots and the count are exactly those of sturm_count.
+    The pivots and the count are exactly those of sturm_count; the sweep
+    runs to the last row, since every row adds to the slope.
     """
-    d0, d_rest, e2_all, pivmin = op._sweep_rows
-    count = 0
-    q = d0 - lam
-    if q < pivmin:
-        count += 1
-        if q > -pivmin:
-            q = -pivmin
-    t = -1.0 / q
-    slope = t
-    for d, e2 in zip(d_rest, e2_all):
+    d, e2_all, _, pivmin, _ = op._sweep_rows
+    count, q, t, slope = 0, math.inf, 0.0, 0.0
+    for di, e2 in zip(d, e2_all):
         g = e2 / q
-        q = d - lam - g
+        q = di - lam - g
         if q < pivmin:
             count += 1
             if q > -pivmin:
@@ -260,68 +275,16 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
     return [solver.level(i) for i in range(k)]
 
 
-class _SingularShift(Exception):
-    pass
-
-
-class _ShiftedLU:
-    """LU factors of (T - shift*I) by Gaussian elimination with partial
-    pivoting, computed once in Python floats and replayed by every solve.
-
-    T is symmetric tridiagonal (diag, off).  Per elimination step the
-    factors keep the multiplier and whether the two rows swapped; U has
-    three diagonals A, B, C (pivoting adds the fill C) and the last pivot.
-    Every float column is a packed array, so an inverse iteration on a
-    16k-point grid holds about 1 MB rather than 4.
-    """
-
-    def __init__(self, diag: np.ndarray, off: np.ndarray, shift: float):
-        diag, off = array("d", diag.tobytes()), array("d", off.tobytes())
-        off_next = off[1:]
-        off_next.append(0.0)
-        self.mults, self.swaps = array("d"), []
-        self.A, self.B, self.C = array("d"), array("d"), array("d")
-        a = diag[0] - shift
-        b = off[0] if off else 0.0
-        for r2_a, d_next, r2_c in zip(off, diag[1:], off_next):
-            c, r2_b = 0.0, d_next - shift
-            swap = abs(r2_a) > abs(a)
-            if swap:
-                a, r2_a = r2_a, a
-                b, r2_b = r2_b, b
-                c, r2_c = r2_c, c
-            if a == 0.0:
-                raise _SingularShift
-            m = r2_a / a
-            self.mults.append(m)
-            self.swaps.append(swap)
-            self.A.append(a)
-            self.B.append(b)
-            self.C.append(c)
-            a = r2_b - m * b
-            b = r2_c - m * c
-        if a == 0.0:
-            raise _SingularShift
-        self.last = a
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with (T - shift*I) x = rhs."""
-        rhs = array("d", rhs.tobytes())
-        y = array("d")
-        cur = rhs[0]
-        for m, swap, nxt in zip(self.mults, self.swaps, rhs[1:]):
-            if swap:
-                cur, nxt = nxt, cur
-            y.append(cur)
-            cur = nxt - m * cur
-        x1, x2 = cur / self.last, 0.0
-        x = array("d", [x1])
-        for yi, a, b, c in zip(reversed(y), reversed(self.A), reversed(self.B),
-                               reversed(self.C)):
-            x1, x2 = (yi - b * x1 - c * x2) / a, x1
-            x.append(x1)
-        x.reverse()
-        return np.frombuffer(x)
+def _pivots(rows, e2_rows, lam: float, pivmin: float) -> array:
+    """LDL^T pivots of (T - lam I) down the given rows, packed; a pivot smaller
+    in magnitude than pivmin is replaced by -pivmin, as in sturm_count."""
+    out, q = array("d"), math.inf
+    for di, e2 in zip(rows, e2_rows):
+        q = di - lam - e2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        out.append(q)
+    return out
 
 
 def _matvec(op: TridiagonalOperator, x):
@@ -347,41 +310,38 @@ def _first_extremum_sign(v: np.ndarray) -> float:
 
 
 def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvector for a converged eigenvalue lam via inverse iteration.
+    """Eigenvector for a converged eigenvalue lam from one twisted factorization.
 
-    Deterministic: all-ones start, a handful of iterations on one LU
-    factorization of the shifted operator, shift micro-perturbed if the
-    factorization hits an exactly singular pivot.
+    The forward pivots D+ (T - lam = L D+ L^T) and the backward pivots D-
+    (T - lam = U D- U^T) meet at the twist r that minimizes
+    |gamma_r| = |D+_r + D-_r - (d_r - lam)|.  The vector with z_r = 1,
+    z_i = -e_i/D+_i z_{i+1} below r and z_i = -e_{i-1}/D-_i z_{i-1} above r
+    solves (T - lam) z = gamma_r e_r (Fernando 1997; Dhillon & Parlett 2004),
+    so its angle to the true eigenvector is of order |lam - lambda|/gap.
 
     Returns the full-grid samples (zeros at the Dirichlet walls), normalized
     to unit quadrature norm, with the sign fixed so the first extremum is
-    positive.  Raises NumericError if the residual check fails.
+    positive.  Raises NumericError if the vector overflows or the residual
+    check fails.
     """
-    n = op.size
-    scale = max(abs(lam), float(np.max(np.abs(op.diag))), 1.0)
-    x = None
-    for attempt in range(4):
-        shift = lam + attempt * 64.0 * _EPS * scale
-        try:
-            lu = _ShiftedLU(op.diag, op.off, shift)
-            x_try = np.ones(n)
-            for _ in range(_INVERSE_ITERATIONS):
-                x_new = lu.solve(x_try)
-                nrm = float(np.linalg.norm(x_new))
-                if nrm == 0.0 or not math.isfinite(nrm):
-                    raise _SingularShift
-                x_try = x_new / nrm
-        except _SingularShift:
-            continue
-        x = x_try
-        break
-    if x is None:
-        raise NumericError("inverse iteration could not factor the shifted operator")
+    d, e2_all, _, pivmin, _ = op._sweep_rows
+    plus = np.frombuffer(_pivots(d, e2_all, lam, pivmin))
+    minus = np.frombuffer(_pivots(reversed(d), chain([0.0], reversed(e2_all)), lam, pivmin))[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = int(np.argmin(np.abs(plus + minus - (op.diag - lam))))
+        z = np.ones(op.size)
+        z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
+        z[r + 1:] = np.cumprod(-op.off[r:] / minus[r + 1:])
+    if not np.all(np.isfinite(z)):
+        raise NumericError(f"twisted factorization overflows at shift {lam!r}")
+    x = z / np.max(np.abs(z))
+    x /= np.linalg.norm(x)
 
+    scale = max(abs(lam), float(np.max(np.abs(op.diag))), 1.0)
     residual = float(np.linalg.norm(_matvec(op, x) - lam * x))
     if residual > 10.0 * max(tol, 64.0 * _EPS * scale):
         raise NumericError(
-            f"inverse iteration residual {residual:.3e} too large for shift {lam!r}"
+            f"eigenvector residual {residual:.3e} too large for shift {lam!r}"
         )
     full = np.zeros(op.grid.n_points)
     full[1:-1] = x

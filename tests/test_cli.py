@@ -256,6 +256,17 @@ def test_verify_wall_incompatible_zero_mode_trims_default_checks(capsys):
     assert names == ["intertwine", "orthonormal", "ground_residual"]
 
 
+@pytest.mark.parametrize("family", ["oscillator", "coulomb"])
+def test_verify_leaves_out_checks_whose_zero_mode_is_missing(capsys, family):
+    # a 1/r pole in W has no zero mode on a grid from r = 0, so the checks that
+    # read closed-form states are left out by default instead of erroring
+    code, out, err = run_cli(capsys, "verify", "--model", family, "--grid", "0,5,101")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [e["check"] for e in doc["entries"]] == ["intertwine"]
+    assert doc["entries"][0]["metric"] is not None and doc["all_passed"] is True
+
+
 def test_verify_wall_compatible_qes_gets_spectral_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "anharmonic",
                            "--a", "-8")

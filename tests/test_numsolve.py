@@ -1,10 +1,11 @@
 """Finite-difference eigensolver: hand oracles, scipy cross-checks, order tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -24,7 +25,9 @@ from susyrad import (
     sturm_count,
     superpotential_from_model,
 )
-from susyrad.numsolve import TridiagonalOperator, _newton_sweep, _ShiftedLU
+from susyrad.cli import build_parser, resolve_config
+from susyrad.core import Family
+from susyrad.numsolve import TridiagonalOperator, _newton_sweep
 
 EPS = np.finfo(float).eps
 
@@ -167,6 +170,22 @@ def test_eigenvector_rejects_bogus_shift():
     op = _toy_operator([2.0, 2.0], [-1.0])
     with pytest.raises(NumericError):
         eigenvector(op, 2.0, tol=1e-12)  # midgap, nowhere near an eigenvalue
+
+
+@pytest.mark.parametrize("diag, off, shift", [
+    ([2.0, 2.0], [-1.0], 2.0),            # midgap: both pivots at the twist are 0
+    ([0.0] * 40, [1.0] * 39, 0.0),        # band centre of an even chain, not a level
+    ([0.0] * 40, [1.0] * 39, 0.0312),     # between two levels of that chain
+    ([3.0, 1e9, 3.0], [1e4, 1e4], -1e12),  # far below a stiff spectrum
+    ([3.0, 1e9, 3.0], [1e4, 1e4], 1e12),   # far above it
+])
+def test_twisted_eigenvector_rejects_shifts_off_the_spectrum_without_warnings(diag, off, shift):
+    """Clamped pivots and huge ratios end in NumericError, never in a numpy
+    warning or in a vector whose norm overflowed to a zero vector."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            eigenvector(_toy_operator(diag, off), shift, tol=1e-12)
 
 
 def test_quadrature_polynomials_and_exponential():
@@ -337,46 +356,82 @@ def test_newton_sweep_slope_is_the_log_det_derivative():
         assert slope == pytest.approx(float(np.sum(1.0 / (lam - ref))), rel=1e-9)
 
 
-def _solve_shifted_reference(diag, off, shift, rhs):
-    """Tridiagonal LU with partial pivoting on numpy arrays, factoring and
-    solving in one pass: the elimination the factor-once solve replays."""
-    n = len(diag)
-    A, B, C = np.empty(n), np.zeros(n), np.zeros(n)
-    A[0] = diag[0] - shift
-    if n > 1:
-        B[0] = off[0]
-    y = np.array(rhs, dtype=float)
-    for i in range(n - 1):
-        r2_a, r2_b = off[i], diag[i + 1] - shift
-        r2_c = off[i + 1] if i + 2 < n else 0.0
-        r2_y = y[i + 1]
-        if abs(r2_a) > abs(A[i]):
-            A[i], r2_a = r2_a, A[i]
-            B[i], r2_b = r2_b, B[i]
-            C[i], r2_c = r2_c, C[i]
-            y[i], r2_y = r2_y, y[i]
-        m = r2_a / A[i]
-        A[i + 1] = r2_b - m * B[i]
-        B[i + 1] = r2_c - m * C[i]
-        y[i + 1] = r2_y - m * y[i]
-    x = np.empty(n)
-    x[n - 1] = y[n - 1] / A[n - 1]
-    if n >= 2:
-        x[n - 2] = (y[n - 2] - B[n - 2] * x[n - 1]) / A[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - B[i] * x[i + 1] - C[i] * x[i + 2]) / A[i]
-    return x
+def _full_sweep_count(op, lam):
+    """Reference Sturm count: every row's pivot, clamped as sturm_count does."""
+    d, e = op.diag.tolist(), op.off.tolist()
+    pivmin = float(np.finfo(float).tiny) * max([1.0] + [x * x for x in e])
+    count, q = 0, None
+    for i, di in enumerate(d):
+        q = di - lam if i == 0 else di - lam - e[i - 1] * e[i - 1] / q
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 40])
-def test_factor_once_solve_is_bit_identical_to_the_one_pass_elimination(n):
-    rng = np.random.default_rng(n)
-    d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-2.0, 2.0, n - 1)
-    ref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else d
-    for shift in (ref[0] + 1e-9, 0.5 * (ref[0] + ref[-1]) + 1e-3):
-        lu = _ShiftedLU(d, e, shift)
-        rhs = rng.uniform(-1.0, 1.0, n)
-        for _ in range(3):  # the factors are replayed, never consumed
-            x = lu.solve(rhs)
-            assert x.tobytes() == _solve_shifted_reference(d, e, shift, rhs).tobytes()
-            rhs = x / np.linalg.norm(x)
+@st.composite
+def count_cases(draw):
+    """An operator, some off-diagonal entries set to zero, and a shift: on a
+    row's Gershgorin bottom d_i - |e_{i-1}| - |e_i|, one ulp either side of
+    it, on an eigenvalue, or anywhere in the Gershgorin range."""
+    op = draw(tridiagonal_operators())
+    d, e = op.diag, op.off.copy()
+    for j in draw(st.lists(st.integers(0, max(len(e) - 1, 0)), max_size=4)):
+        if len(e):
+            e[j] = 0.0
+    op = _toy_operator(d, e)
+    i = draw(st.integers(0, len(d) - 1))
+    bottom = d[i] - (abs(e[i - 1]) if i > 0 else 0.0) - (abs(e[i]) if i < len(e) else 0.0)
+    how = draw(st.sampled_from(["bottom", "below", "above", "eigenvalue", "anywhere"]))
+    if how == "bottom":
+        lam = bottom
+    elif how in ("below", "above"):
+        lam = np.nextafter(bottom, -np.inf if how == "below" else np.inf)
+    elif how == "eigenvalue":
+        lam = eigh_tridiagonal(d, e, eigvals_only=True)[i] if len(d) > 1 else d[0]
+    else:
+        spread = 2.0 * float(np.max(np.abs(e), initial=0.0))
+        lam = draw(st.floats(float(np.min(d)) - spread - 1.0, float(np.max(d)) + spread + 1.0))
+    return op, float(lam)
+
+
+@given(case=count_cases())
+@example(case=(_toy_operator([2.0, 2.0], [-1.0]), 1.0))  # level 1 sits on both bottoms
+def test_early_exit_sturm_count_equals_the_full_sweep(case):
+    op, lam = case
+    assert sturm_count(op, lam) == _full_sweep_count(op, lam)
+
+
+def _check_against_lapack(op, k):
+    """Levels 0..k-1: the twisted vector's residual, and its angle to LAPACK's
+    vector, which Davis-Kahan bounds by residual/gap plus LAPACK's own error."""
+    n = op.size
+    eff_tol, norm = _eff_tol(op, 1e-10)
+    eigs = lowest_eigenvalues(op, k)
+    # levels 0..k hold the nearest neighbour of each of levels 0..k-1
+    ref_vals, ref_vecs = eigh_tridiagonal(op.diag, op.off, select="i",
+                                          select_range=(0, min(k, n - 1)))
+    for i, lam in enumerate(eigs):
+        v = eigenvector(op, lam)[1:-1]
+        v = v / np.linalg.norm(v)
+        res = v * op.diag - lam * v
+        res[:-1] += op.off * v[1:]
+        res[1:] += op.off * v[:-1]
+        residual = float(np.linalg.norm(res))
+        assert residual <= math.sqrt(n) * eff_tol + 64.0 * EPS * norm
+        gap = float(np.min(np.abs(np.delete(ref_vals, i) - lam), initial=np.inf))
+        angle = (residual + 64.0 * EPS * norm) / gap
+        assert 1.0 - abs(float(v @ ref_vecs[:, i])) <= angle**2 + n * EPS
+
+
+@given(op=tridiagonal_operators(), k_share=st.floats(0.0, 1.0))
+def test_twisted_eigenvector_matches_lapack(op, k_share):
+    _check_against_lapack(op, 1 + int(k_share * (min(op.size, 6) - 1)))
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
+def test_twisted_eigenvector_matches_lapack_on_the_default_operators(family):
+    cfg = resolve_config(build_parser().parse_args(
+        ["spectrum", "--model", family, "--method", "numeric", "--n-max", "4"]))
+    _check_against_lapack(cfg.operator, 5)
