@@ -594,11 +594,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = resolve_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         if args.command == "spectrum":
             rows = cmd_spectrum(cfg)
             sys.stdout.write(render_spectrum(rows, cfg.output_format,
@@ -630,6 +625,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (DomainError, ConfigurationError, NumericError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -214,10 +214,13 @@ def _anharmonic_w(m: "ModelSpec") -> Superpotential:
 
 def _sextic_w(m: "ModelSpec") -> Superpotential:
     w_t, b = m.params["omega_T"], m.params["b"]
+    regular = lambda r: w_t * r + b * r**3
+    regular_prime = lambda r: w_t + 3.0 * b * r**2
+    if m.ell == 0:  # no 1/r term: W is regular at the origin
+        return Superpotential(regular, regular_prime, 0.0, regular)
     c = -float(m.ell)
-    return Superpotential(lambda r: c / r + w_t * r + b * r**3,
-                          lambda r: -c / r**2 + w_t + 3.0 * b * r**2, c,
-                          lambda r: w_t * r + b * r**3)
+    return Superpotential(lambda r: c / r + regular(r), lambda r: -c / r**2 + regular_prime(r),
+                          c, regular)
 
 
 def _deformed_coulomb_w(m: "ModelSpec") -> Superpotential:
@@ -324,8 +327,8 @@ FAMILIES = {
         superpotential=_sextic_w,
         window=lambda m, n_max: RadialGrid(1e-5, _decay_r_max(m, 1e-5), 6001),
         closed_form="ground",
-        log_zero_mode=lambda m, r: (m.ell * _log_r(m, r) - m.params["omega_T"] * r**2 / 2.0
-                                    - m.params["b"] * r**4 / 4.0),
+        log_zero_mode=lambda m, r: ((m.ell * _log_r(m, r) if m.ell else 0.0)
+                                    - m.params["omega_T"] * r**2 / 2.0 - m.params["b"] * r**4 / 4.0),
     ),
     Family.DEFORMED_COULOMB_QES: FamilyRecord(
         params={"e2": 1.0, "omega_T": 1.0},

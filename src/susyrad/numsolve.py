@@ -15,6 +15,16 @@ give.  A count stops early once the rows left are diagonally dominant
 enough at lam that none of their pivots can turn negative.  An eigenvector
 takes one forward and one backward pivot sweep at its level.
 
+On an odd uniform grid, each level first gets a nested-grid prediction.  The
+same operator on every other grid node is solved recursively to a looser
+tolerance, and Richardson extrapolation of the h^2 expansion from the grids
+with 2h and 4h predicts the fine level within a few tolerances.  Two counts
+at the prediction plus and minus a half-width join the shared counts, so
+Newton starts next to the level; the certificate is unchanged, and every
+level stays within eff_tol/2 of an eigenvalue of the operator asked for.  An
+even grid, an off-diagonal other than -1/h^2, a coarse operator below
+_COARSE_MIN_ROWS rows or a failed coarse solve means no prediction.
+
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
 """
@@ -34,6 +44,11 @@ from .core import DomainError, NumericError, RadialGrid
 _MAX_BISECTIONS = 200
 _MAX_NEWTON_STEPS = 100
 _EXIT_TEST_ROWS = 128
+#: fewest rows of a coarse operator that is solved to predict the levels
+_COARSE_MIN_ROWS = 300
+#: coarse levels only seed the fine ones, so they are solved to this
+#: tolerance, or to the caller's where that is looser
+_COARSE_TOL = 1e-5
 _EPS = np.finfo(float).eps
 
 
@@ -160,10 +175,11 @@ class _LevelSolver:
     doubles its step up from the Gershgorin bottom; the wanted levels
     usually sit just above that bottom and far below the Gershgorin top.
     Level i reads only counts taken for levels 0..i, so it does not depend
-    on how many levels are asked for.
+    on how many levels are asked for.  guesses[i], where given, is a
+    (prediction, half-width) pair: level i first counts at both ends of it.
     """
 
-    def __init__(self, op: TridiagonalOperator, tol: float):
+    def __init__(self, op: TridiagonalOperator, tol: float, guesses=()):
         n = op.size
         max_off = float(np.max(np.abs(op.off))) if n > 1 else 0.0
         lo = float(np.min(op.diag)) - 2.0 * max_off
@@ -175,6 +191,7 @@ class _LevelSolver:
         # first step: the lowest level of a free chain with this coupling
         self.step = max(self.eff_tol, 4.0 * max_off * math.sin(0.5 * math.pi / (n + 1)) ** 2)
         self.counts = []
+        self.guesses = guesses
 
     def count(self, lam: float) -> int:
         c = sturm_count(self.op, lam)
@@ -245,6 +262,10 @@ class _LevelSolver:
         return None
 
     def level(self, i: int) -> float:
+        if i < len(self.guesses):
+            guess, width = self.guesses[i]
+            self.count(guess - width)
+            self.count(guess + width)
         a, b = self.narrow(i, isolate=True)
         if b - a > self.eff_tol:
             lam = self.newton(i, a, b)
@@ -261,8 +282,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
     eff_tol is tol floored at a few ulps of the spectral scale, which matters
     on very stiff grids.  Each level is either the midpoint of a Sturm
     bracket at most eff_tol wide or a Newton iterate lam certified by
-    count(lam - eff_tol/2) <= i < count(lam + eff_tol/2).  Level i is the
-    same float whatever k is.
+    count(lam - eff_tol/2) <= i < count(lam + eff_tol/2); where op comes from
+    discretize on an odd grid, the iteration starts from a nested-grid
+    prediction.  Level i is the same float whatever k is.
 
     Returns a list of k floats in nondecreasing order.
     """
@@ -271,8 +293,45 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
         raise ValueError(f"k must be in 1..{n}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    solver = _LevelSolver(op, tol)
-    return [solver.level(i) for i in range(k)]
+    return _levels_and_coarse_levels(op, k, tol)[0]
+
+
+def _coarsened(op: TridiagonalOperator):
+    """discretize's operator on every other node of the same grid, or None
+    where op is not discretize's stencil on an odd grid, or where the coarse
+    operator would have fewer than _COARSE_MIN_ROWS rows."""
+    grid = op.grid
+    if grid.n_points % 2 == 0 or op.size != grid.n_points - 2:
+        return None
+    if (op.size - 1) // 2 < _COARSE_MIN_ROWS or not np.all(op.off == -1.0 / grid.h**2):
+        return None
+    coarse = RadialGrid(grid.r_min, grid.r_max, (grid.n_points + 1) // 2)
+    # the diagonal keeps V at the shared nodes and swaps 2/h^2 for 2/(2h)^2
+    return TridiagonalOperator(diag=op.diag[1::2] - 2.0 / grid.h**2 + 2.0 / coarse.h**2,
+                               off=np.full(coarse.n_points - 3, -1.0 / coarse.h**2), grid=coarse)
+
+
+def _levels_and_coarse_levels(op: TridiagonalOperator, k: int, tol: float) -> tuple:
+    """The k lowest levels of op, and those of its coarse operator ([] where
+    there is none or its solve failed).
+
+    Level i starts from the Richardson prediction c1 + (c1 - c2)/4 of the h^2
+    expansion, with half-width |c1 - c2|/2, where c1 and c2 are level i on the
+    grids with 2h and 4h.  The coarse solves take min(k, size) levels whatever
+    k is, so the guess for level i, and with it level i, do not depend on k.
+    """
+    coarse = _coarsened(op)
+    c1s = c2s = []
+    if coarse is not None:
+        try:
+            c1s, c2s = _levels_and_coarse_levels(coarse, min(k, coarse.size),
+                                                 max(tol, _COARSE_TOL))
+        except NumericError:
+            pass  # no guess: the solve below works without one
+    del coarse  # a coarse operator does not outlive its solve
+    guesses = [(c1 + 0.25 * (c1 - c2), 0.5 * abs(c1 - c2)) for c1, c2 in zip(c1s, c2s)]
+    solver = _LevelSolver(op, tol, guesses)
+    return [solver.level(i) for i in range(k)], c1s
 
 
 def _pivots(rows, e2_rows, lam: float, pivmin: float) -> array:

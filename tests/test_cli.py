@@ -11,6 +11,7 @@ from susyrad import (
     ConfigurationError,
     Family,
     ModelSpec,
+    RadialGrid,
     analytic_wavefunctions,
     anharmonic_model,
     cli,
@@ -185,6 +186,16 @@ def test_wavefunction_numeric_spinor_is_normalized(capsys):
     assert norm == pytest.approx(1.0, rel=1e-3)
 
 
+def test_wavefunction_sextic_at_ell_0_needs_no_open_origin(capsys):
+    code, out, err = run_cli(capsys, "wavefunction", "--model", "sextic",
+                             "--grid", "0,5,101", "--method", "analytic")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    f_minus = [float(r[1]) for r in rows]
+    assert all(math.isfinite(f) for f in f_minus)
+    assert f_minus[0] == max(f_minus)  # the zero mode exp(-r^2/2 - r^4/4) peaks at r = 0
+
+
 def test_wavefunction_rejects_method_both(capsys):
     code, _, err = run_cli(capsys, "wavefunction", "--model", "oscillator",
                            "--method", "both")
@@ -222,6 +233,14 @@ def test_partner_sextic_hand_values(capsys):
     assert [float(r[1]) for r in rows] == pytest.approx([-4.0, 77.0, 852.0])
     assert float(rows[0][2]) == pytest.approx(6.0)
     assert float(rows[1][2]) == pytest.approx(103.5)
+
+
+def test_partner_sextic_at_ell_0_is_finite_at_the_origin(capsys):
+    # at ell = 0 W = omega_T r + b r^3 has no 1/r term, so V-+(0) = -+omega_T
+    code, out, _ = run_cli(capsys, "partner", "--model", "sextic", "--grid", "0,5,101")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(x) for x in rows[0]] == [0.0, -1.0, 1.0]
 
 
 def test_partner_interior_singularity_is_runtime_error(capsys):
@@ -265,6 +284,14 @@ def test_verify_leaves_out_checks_whose_zero_mode_is_missing(capsys, family):
     doc = json.loads(out)
     assert [e["check"] for e in doc["entries"]] == ["intertwine"]
     assert doc["entries"][0]["metric"] is not None and doc["all_passed"] is True
+
+
+def test_verify_sextic_at_ell_0_keeps_its_zero_mode_checks_from_r_0(capsys):
+    code, out, err = run_cli(capsys, "verify", "--model", "sextic", "--grid", "0,5,101")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [e["check"] for e in doc["entries"]] == ["intertwine", "orthonormal", "ground_residual"]
+    assert doc["all_passed"] is True
 
 
 def test_verify_wall_compatible_qes_gets_spectral_checks(capsys):
@@ -516,6 +543,22 @@ def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     assert code == 2
     assert out == "" and not caught
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_allocation_failure_is_one_line_runtime_error(capsys, monkeypatch, command):
+    # a grid of 1e11 points cannot be sampled; the failure is raised here
+    # instead of attempted, which would allocate 745 GiB
+    def no_memory(grid):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+
+    monkeypatch.setattr(RadialGrid, "points", no_memory)
+    code, out, err = run_cli(capsys, command, "--model", "oscillator",
+                             "--grid", "0.001,5,100000000000")
+    assert code == 3 and out == ""
+    assert err == ("error: out of memory: Unable to allocate 745. GiB for an array with "
+                   "shape (100000000000,) and data type float64\n")
 
 
 # ------------------------------------------------------------ family table

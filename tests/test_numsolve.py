@@ -26,6 +26,7 @@ from susyrad import (
     superpotential_from_model,
 )
 from susyrad.cli import build_parser, resolve_config
+from susyrad import numsolve
 from susyrad.core import Family
 from susyrad.numsolve import TridiagonalOperator, _newton_sweep
 
@@ -341,6 +342,90 @@ def test_level_i_does_not_depend_on_how_many_levels_are_solved(op, k_share, j_sh
     k = 1 + int(k_share * (min(op.size, 12) - 1))
     j = 1 + int(j_share * (k - 1))
     assert lowest_eigenvalues(op, k)[:j] == lowest_eigenvalues(op, j)
+
+
+# ----------------------------------------------- the nested-grid predictor
+
+
+def _spectrum_operator(*argv):
+    """The V- operator `spectrum` solves for these flags."""
+    return resolve_config(build_parser().parse_args(
+        ["spectrum", "--method", "numeric", "--n-max", "9", *argv])).operator
+
+
+#: the default window of every built-in family and the scan's 16 001-point
+#: windows: odd grids large enough that every level starts from a prediction
+PREDICTED_WINDOWS = [("--model", f.value) for f in Family if f is not Family.CUSTOM] + [
+    ("--model", "oscillator", "--grid", "0.001,12,16001"),
+    ("--model", "coulomb", "--grid", "0.001,250,16001"),
+]
+
+
+def _assert_lapack_agreement_and_certificates(op, k):
+    """The property test above on one large operator: LAPACK computes only
+    levels 0..k-1, since all of a 16 001-point spectrum takes seconds."""
+    eigs = lowest_eigenvalues(op, k)
+    eff_tol, norm = _eff_tol(op, 1e-10)
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i",
+                           select_range=(0, k - 1))
+    assert np.max(np.abs(np.array(eigs) - ref)) <= eff_tol + 8.0 * EPS * norm
+    assert eigs == sorted(eigs)
+    for i, lam in enumerate(eigs):
+        assert sturm_count(op, lam - 0.5 * eff_tol) <= i < sturm_count(op, lam + 0.5 * eff_tol)
+
+
+@pytest.mark.parametrize("argv", PREDICTED_WINDOWS, ids=" ".join)
+def test_predicted_levels_agree_with_lapack_and_carry_their_sturm_certificate(argv):
+    op = _spectrum_operator(*argv)
+    assert numsolve._coarsened(numsolve._coarsened(op)) is not None
+    _assert_lapack_agreement_and_certificates(op, 10)
+
+
+def _unpredicted_operators():
+    """Operators the predictor does not apply to: an even grid, and a
+    non-constant off-diagonal on the default oscillator window."""
+    even = _spectrum_operator("--model", "oscillator", "--grid", "0.001,7,2800")
+    op = _spectrum_operator("--model", "oscillator")
+    ripple = op.off * (1.0 + 1e-3 * np.sin(np.arange(op.size - 1)))
+    return [even, TridiagonalOperator(diag=op.diag, off=ripple, grid=op.grid)]
+
+
+@pytest.mark.parametrize("op", _unpredicted_operators(), ids=["even-grid", "rippled-off"])
+def test_unpredicted_levels_agree_with_lapack_and_carry_their_sturm_certificate(op):
+    assert numsolve._coarsened(op) is None
+    _assert_lapack_agreement_and_certificates(op, 10)
+
+
+@pytest.mark.parametrize("op", [_spectrum_operator("--model", "coulomb"), *_unpredicted_operators()],
+                         ids=["coulomb-default", "even-grid", "rippled-off"])
+def test_level_i_is_the_same_float_for_every_k(op):
+    ten = lowest_eigenvalues(op, 10)
+    assert lowest_eigenvalues(op, 5) == ten[:5]
+    assert lowest_eigenvalues(op, 1) == ten[:1]
+
+
+def test_predicted_levels_take_at_most_3_newton_sweeps_each(monkeypatch):
+    """On the Coulomb default window Newton's iteration takes 6-21 sweeps
+    per level from the midpoint of an isolating Sturm bracket, and at most 3
+    from the nested-grid prediction."""
+    op = _spectrum_operator("--model", "coulomb")
+    sweeps = []
+    sweep, level = numsolve._newton_sweep, numsolve._LevelSolver.level
+
+    def counted_sweep(sweep_op, lam):
+        if sweep_op is op:
+            sweeps[-1] += 1
+        return sweep(sweep_op, lam)
+
+    def counted_level(solver, i):
+        if solver.op is op:
+            sweeps.append(0)
+        return level(solver, i)
+
+    monkeypatch.setattr(numsolve, "_newton_sweep", counted_sweep)
+    monkeypatch.setattr(numsolve._LevelSolver, "level", counted_level)
+    lowest_eigenvalues(op, 5)
+    assert len(sweeps) == 5 and max(sweeps) <= 3
 
 
 def test_newton_sweep_slope_is_the_log_det_derivative():
