@@ -6,24 +6,22 @@ with Dirichlet walls, Sturm-sequence counts for eigenvalues, a twisted
 factorization for eigenvectors, and composite Simpson quadrature.  Plain numpy
 only.
 
-Eigenvalues are solved level by level.  Sturm counts isolate each level in a
-bracket holding that one eigenvalue; every count is kept and narrows the
-bracket of every later level.  A Newton iteration on log|det(T - lam)|, whose
-derivative rides along the same pivot recurrence, then refines the level,
-and two more counts certify the result to the same tolerance bisection would
-give.  A count stops early once the rows left are diagonally dominant
+Eigenvalues are solved level by level, and every Sturm count is kept to
+narrow the bracket of every later level.  A Newton iteration on
+log|det(T - lam)|, whose derivative rides along the same pivot recurrence,
+refines a level, and two counts certify it to the same tolerance bisection
+would give.  A count stops early once the rows left are diagonally dominant
 enough at lam that none of their pivots can turn negative.  An eigenvector
 takes one forward and one backward pivot sweep at its level.
 
-On an odd uniform grid, each level first gets a nested-grid prediction.  The
-same operator on every other grid node is solved recursively to a looser
-tolerance, and Richardson extrapolation of the h^2 expansion from the grids
-with 2h and 4h predicts the fine level within a few tolerances.  Two counts
-at the prediction plus and minus a half-width join the shared counts, so
-Newton starts next to the level; the certificate is unchanged, and every
-level stays within eff_tol/2 of an eigenvalue of the operator asked for.  An
-even grid, an off-diagonal other than -1/h^2, a coarse operator below
-_COARSE_MIN_ROWS rows or a failed coarse solve means no prediction.
+On an odd uniform grid, Newton's iteration starts from a nested-grid
+prediction, with no count taken first: the same operator on every other grid
+node is solved recursively to a looser tolerance, and Richardson
+extrapolation of the h^2 expansion from the grids with 2h and 4h (2h alone
+next to the chain's bottom) predicts the level.  Where the iteration strays,
+or there is no prediction (an even grid, an off-diagonal other than -1/h^2,
+a coarse operator below _COARSE_MIN_ROWS rows, a failed coarse solve),
+counts isolate the level first.  Both ways end in the eff_tol/2 certificate.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -32,7 +30,6 @@ at both ends of the grid; eigenvalues approximate epsilon^2.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -75,9 +72,9 @@ class TridiagonalOperator:
         alike; pivmin; and `safe`, the suffix minimum of each row's
         rounding-widened Gershgorin bottom (see sturm_count)."""
         d = self.diag.tolist()
-        # equal entries share one float object: a uniform grid has a single one
-        unique = {}
-        e2 = [unique.setdefault(v, v) for v in chain([0.0], (self.off * self.off).tolist())]
+        sq = self.off * self.off
+        # a uniform grid's rows share its one float object
+        e2 = [0.0] + (sq[:1].tolist() * len(sq) if np.all(sq == sq[:1]) else sq.tolist())
         pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2))
         e_abs = np.append(0.0, np.abs(self.off))
         spread = e_abs + np.append(e_abs[1:], 0.0)
@@ -175,11 +172,11 @@ class _LevelSolver:
     doubles its step up from the Gershgorin bottom; the wanted levels
     usually sit just above that bottom and far below the Gershgorin top.
     Level i reads only counts taken for levels 0..i, so it does not depend
-    on how many levels are asked for.  guesses[i], where given, is a
-    (prediction, half-width) pair: level i first counts at both ends of it.
+    on how many levels are asked for.  predictions[i], where given, is where
+    Newton's iteration for level i starts, before any count is taken for it.
     """
 
-    def __init__(self, op: TridiagonalOperator, tol: float, guesses=()):
+    def __init__(self, op: TridiagonalOperator, tol: float, predictions=()):
         n = op.size
         max_off = float(np.max(np.abs(op.off))) if n > 1 else 0.0
         lo = float(np.min(op.diag)) - 2.0 * max_off
@@ -191,7 +188,7 @@ class _LevelSolver:
         # first step: the lowest level of a free chain with this coupling
         self.step = max(self.eff_tol, 4.0 * max_off * math.sin(0.5 * math.pi / (n + 1)) ** 2)
         self.counts = []
-        self.guesses = guesses
+        self.predictions = predictions
 
     def count(self, lam: float) -> int:
         c = sturm_count(self.op, lam)
@@ -227,34 +224,48 @@ class _LevelSolver:
             self.count(lam)
         raise NumericError("bisection failed to shrink the eigenvalue bracket")
 
-    def newton(self, i: int, a: float, b: float):
-        """Newton's iteration on det(T - lam I) inside (a, b), a bracket that
-        holds level i alone; None if the bracket closes to eff_tol first.
+    def certified(self, i: int, lam: float) -> bool:
+        """The two-count certificate of lam as level i; a kept count may settle a side."""
+        half = 0.5 * self.eff_tol
+        a, _, b, _ = self.bracket(i)
+        return ((a >= lam - half or self.count(lam - half) <= i)
+                and (b is not None and b <= lam + half or i < self.count(lam + half)))
 
-        A step that leaves the bracket, or is not at most half the previous
-        one, is replaced by bisection, so the bracket keeps shrinking.  The
-        new iterate is accepted once the step is below eff_tol/4, or once
-        the error that quadratic convergence predicts from two Newton steps
-        in a row, step^3 / previous^2, is below eff_tol/64; the counts in
-        level() then certify it.
+    def newton(self, i: int, x: float, predicted: bool):
+        """Newton's iteration on det(T - lam I) for level i from x inside its
+        bracket (up to hi while unbounded), read again after every sweep;
+        the certified level, or None.
+
+        A step that leaves the bracket or is not at most half the previous
+        one ends a predicted start, which offers every iterate to the
+        certificate.  From the midpoint of an isolating bracket such a step
+        is replaced by bisection, and the iterate is offered once the step is
+        below eff_tol/4, or once the error that quadratic convergence predicts
+        from two Newton steps in a row, step^3 / previous^2, is below
+        eff_tol/64; a failed certificate or a bracket eff_tol wide ends it.
         """
-        x = 0.5 * (a + b)
-        last_step, newton_step = b - a, None
+        a, _, b, _ = self.bracket(i)
+        last_step, newton_step = (self.hi if b is None else b) - a, None
+        if not 0.0 < x - a < last_step:
+            return None
         for _ in range(_MAX_NEWTON_STEPS):
             c, slope = _newton_sweep(self.op, x)
             self.counts.append((x, c))
-            if c <= i:
-                a = x
-            else:
-                b = x
+            a, _, b, _ = self.bracket(i)
+            b = self.hi if b is None else b
             y = x - 1.0 / slope if slope != 0.0 else math.nan
             step = abs(y - x)
             if not (a < y < b and step <= 0.5 * last_step):
+                if predicted:
+                    return None
                 y, newton_step = 0.5 * (a + b), None
-            elif step <= 0.25 * self.eff_tol or (
-                    newton_step and step**3 <= self.eff_tol * newton_step**2 / 64.0):
-                return y
             else:
+                if predicted or step <= 0.25 * self.eff_tol or (
+                        newton_step and step**3 <= self.eff_tol * newton_step**2 / 64.0):
+                    if self.certified(i, y):
+                        return y
+                    if not predicted:
+                        return None
                 newton_step = step
             if b - a <= self.eff_tol:
                 return None
@@ -262,15 +273,14 @@ class _LevelSolver:
         return None
 
     def level(self, i: int) -> float:
-        if i < len(self.guesses):
-            guess, width = self.guesses[i]
-            self.count(guess - width)
-            self.count(guess + width)
+        if i < len(self.predictions):
+            lam = self.newton(i, self.predictions[i], predicted=True)
+            if lam is not None:
+                return lam
         a, b = self.narrow(i, isolate=True)
         if b - a > self.eff_tol:
-            lam = self.newton(i, a, b)
-            half = 0.5 * self.eff_tol
-            if lam is not None and self.count(lam - half) <= i < self.count(lam + half):
+            lam = self.newton(i, 0.5 * (a + b), predicted=False)
+            if lam is not None:
                 return lam
             a, b = self.narrow(i, isolate=False)
         return 0.5 * (a + b)
@@ -283,8 +293,8 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
     on very stiff grids.  Each level is either the midpoint of a Sturm
     bracket at most eff_tol wide or a Newton iterate lam certified by
     count(lam - eff_tol/2) <= i < count(lam + eff_tol/2); where op comes from
-    discretize on an odd grid, the iteration starts from a nested-grid
-    prediction.  Level i is the same float whatever k is.
+    discretize on an odd grid, the iteration starts at a nested-grid
+    prediction, before any count.  Level i is the same float whatever k is.
 
     Returns a list of k floats in nondecreasing order.
     """
@@ -316,9 +326,10 @@ def _levels_and_coarse_levels(op: TridiagonalOperator, k: int, tol: float) -> tu
     there is none or its solve failed).
 
     Level i starts from the Richardson prediction c1 + (c1 - c2)/4 of the h^2
-    expansion, with half-width |c1 - c2|/2, where c1 and c2 are level i on the
-    grids with 2h and 4h.  The coarse solves take min(k, size) levels whatever
-    k is, so the guess for level i, and with it level i, do not depend on k.
+    expansion, where c1 and c2 are level i on the grids with 2h and 4h, or
+    from c1 where the 4h grid has no level i.  The coarse solves take
+    min(k, size) levels whatever k is, so the prediction for level i, and
+    with it level i, do not depend on k.
     """
     coarse = _coarsened(op)
     c1s = c2s = []
@@ -327,23 +338,24 @@ def _levels_and_coarse_levels(op: TridiagonalOperator, k: int, tol: float) -> tu
             c1s, c2s = _levels_and_coarse_levels(coarse, min(k, coarse.size),
                                                  max(tol, _COARSE_TOL))
         except NumericError:
-            pass  # no guess: the solve below works without one
+            pass  # no prediction: the solve below works without one
     del coarse  # a coarse operator does not outlive its solve
-    guesses = [(c1 + 0.25 * (c1 - c2), 0.5 * abs(c1 - c2)) for c1, c2 in zip(c1s, c2s)]
-    solver = _LevelSolver(op, tol, guesses)
+    predictions = [c1 + 0.25 * (c1 - c2) for c1, c2 in zip(c1s, c2s)] + c1s[len(c2s):]
+    solver = _LevelSolver(op, tol, predictions)
     return [solver.level(i) for i in range(k)], c1s
 
 
-def _pivots(rows, e2_rows, lam: float, pivmin: float) -> array:
-    """LDL^T pivots of (T - lam I) down the given rows, packed; a pivot smaller
-    in magnitude than pivmin is replaced by -pivmin, as in sturm_count."""
-    out, q = array("d"), math.inf
+def _pivots(rows, e2_rows, lam: float, pivmin: float) -> np.ndarray:
+    """LDL^T pivots of (T - lam I) down the given rows; a pivot smaller in
+    magnitude than pivmin is replaced by -pivmin, as in sturm_count."""
+    out, q = [], math.inf
+    append = out.append
     for di, e2 in zip(rows, e2_rows):
         q = di - lam - e2 / q
         if -pivmin < q < pivmin:
             q = -pivmin
-        out.append(q)
-    return out
+        append(q)
+    return np.array(out)
 
 
 def _matvec(op: TridiagonalOperator, x):
@@ -376,7 +388,10 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     |gamma_r| = |D+_r + D-_r - (d_r - lam)|.  The vector with z_r = 1,
     z_i = -e_i/D+_i z_{i+1} below r and z_i = -e_{i-1}/D-_i z_{i-1} above r
     solves (T - lam) z = gamma_r e_r (Fernando 1997; Dhillon & Parlett 2004),
-    so its angle to the true eigenvector is of order |lam - lambda|/gap.
+    so its angle to the true eigenvector is of order |lam - lambda|/gap.  Its
+    residual |gamma_r x_r| is near |lam - lambda|/|x_r|, up to sqrt(n) times
+    a level's error; a vector failing the residual check is built once more
+    at its Rayleigh quotient lam + gamma_r x_r^2, if that is within the bound.
 
     Returns the full-grid samples (zeros at the Dirichlet walls), normalized
     to unit quadrature norm, with the sign fixed so the first extremum is
@@ -384,21 +399,26 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     check fails.
     """
     d, e2_all, _, pivmin, _ = op._sweep_rows
-    plus = np.frombuffer(_pivots(d, e2_all, lam, pivmin))
-    minus = np.frombuffer(_pivots(reversed(d), chain([0.0], reversed(e2_all)), lam, pivmin))[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = int(np.argmin(np.abs(plus + minus - (op.diag - lam))))
-        z = np.ones(op.size)
-        z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
-        z[r + 1:] = np.cumprod(-op.off[r:] / minus[r + 1:])
-    if not np.all(np.isfinite(z)):
-        raise NumericError(f"twisted factorization overflows at shift {lam!r}")
-    x = z / np.max(np.abs(z))
-    x /= np.linalg.norm(x)
-
-    scale = max(abs(lam), float(np.max(np.abs(op.diag))), 1.0)
-    residual = float(np.linalg.norm(_matvec(op, x) - lam * x))
-    if residual > 10.0 * max(tol, 64.0 * _EPS * scale):
+    bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
+    for retry in (False, True):
+        plus = _pivots(d, e2_all, lam, pivmin)
+        minus = _pivots(reversed(d), chain([0.0], reversed(e2_all)), lam, pivmin)[::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = plus + minus - (op.diag - lam)
+            r = int(np.argmin(np.abs(gamma)))
+            z = np.ones(op.size)
+            z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
+            z[r + 1:] = np.cumprod(-op.off[r:] / minus[r + 1:])
+        if not np.all(np.isfinite(z)):
+            raise NumericError(f"twisted factorization overflows at shift {lam!r}")
+        x = z / np.max(np.abs(z))
+        x /= np.linalg.norm(x)
+        residual = float(np.linalg.norm(_matvec(op, x) - lam * x))
+        step = float(gamma[r]) * float(x[r]) ** 2
+        if residual <= 10.0 * bound or retry or not abs(step) <= bound:
+            break
+        lam += step
+    if residual > 10.0 * bound:
         raise NumericError(
             f"eigenvector residual {residual:.3e} too large for shift {lam!r}"
         )

@@ -361,17 +361,22 @@ PREDICTED_WINDOWS = [("--model", f.value) for f in Family if f is not Family.CUS
 ]
 
 
+def _assert_certified_lapack_levels(op, eigs, tol, ref):
+    """Levels eigs agree with LAPACK's ref and carry the eff_tol/2 certificate."""
+    eff_tol, norm = _eff_tol(op, tol)
+    assert np.max(np.abs(np.array(eigs) - ref[:len(eigs)])) <= eff_tol + 8.0 * EPS * norm
+    for i, lam in enumerate(eigs):
+        assert sturm_count(op, lam - 0.5 * eff_tol) <= i < sturm_count(op, lam + 0.5 * eff_tol)
+
+
 def _assert_lapack_agreement_and_certificates(op, k):
     """The property test above on one large operator: LAPACK computes only
     levels 0..k-1, since all of a 16 001-point spectrum takes seconds."""
     eigs = lowest_eigenvalues(op, k)
-    eff_tol, norm = _eff_tol(op, 1e-10)
     ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i",
                            select_range=(0, k - 1))
-    assert np.max(np.abs(np.array(eigs) - ref)) <= eff_tol + 8.0 * EPS * norm
     assert eigs == sorted(eigs)
-    for i, lam in enumerate(eigs):
-        assert sturm_count(op, lam - 0.5 * eff_tol) <= i < sturm_count(op, lam + 0.5 * eff_tol)
+    _assert_certified_lapack_levels(op, eigs, 1e-10, ref)
 
 
 @pytest.mark.parametrize("argv", PREDICTED_WINDOWS, ids=" ".join)
@@ -426,6 +431,102 @@ def test_predicted_levels_take_at_most_3_newton_sweeps_each(monkeypatch):
     monkeypatch.setattr(numsolve._LevelSolver, "level", counted_level)
     lowest_eigenvalues(op, 5)
     assert len(sweeps) == 5 and max(sweeps) <= 3
+
+
+def _count_work(monkeypatch, op):
+    """Per level of op that a _LevelSolver solves, [Newton sweeps, Sturm
+    counts], appended as the levels are solved; levels of other operators
+    (the coarse chain) are not counted."""
+    work = []
+    sweep, count, level = numsolve._newton_sweep, numsolve.sturm_count, numsolve._LevelSolver.level
+
+    def counted(fn, kind):
+        def wrapped(work_op, lam):
+            if work_op is op:
+                work[-1][kind] += 1
+            return fn(work_op, lam)
+        return wrapped
+
+    def counted_level(solver, i):
+        if solver.op is op:
+            work.append([0, 0])
+        return level(solver, i)
+
+    monkeypatch.setattr(numsolve, "_newton_sweep", counted(sweep, 0))
+    monkeypatch.setattr(numsolve, "sturm_count", counted(count, 1))
+    monkeypatch.setattr(numsolve._LevelSolver, "level", counted_level)
+    return work
+
+
+@pytest.mark.parametrize("argv", PREDICTED_WINDOWS, ids=" ".join)
+def test_predicted_levels_take_at_most_2_newton_sweeps_and_4_counts(argv, monkeypatch):
+    """From the nested-grid prediction a level takes one Newton sweep and
+    the two certificate counts, rarely a second round of both.  Counts that
+    first isolate the level around the prediction cost 5-16 sweeps and up to
+    36 counts per level on the 16 001-point Coulomb window."""
+    op = _spectrum_operator(*argv)
+    work = _count_work(monkeypatch, op)
+    lowest_eigenvalues(op, 10)
+    assert len(work) == 10
+    assert max(sweeps for sweeps, _ in work) <= 2 and max(counts for _, counts in work) <= 4
+
+
+def test_certificate_takes_only_the_counts_kept_ones_do_not_settle():
+    """Level 0 of the 2x2 toy is 1.0, eff_tol is 1e-3: kept counts within
+    eff_tol/2 of lam settle its certificate with no new count, and a kept
+    count further away settles nothing."""
+    solver = numsolve._LevelSolver(_toy_operator([2.0, 2.0], [-1.0]), 1e-3)
+    solver.counts += [(0.9997, 0), (1.0004, 1)]
+    assert solver.certified(0, 1.0) and len(solver.counts) == 2
+    assert not solver.certified(0, 1.0006)  # level 0 is below 1.0006 - 5e-4
+    assert not solver.certified(0, 0.9994)  # and above 0.9994 + 5e-4
+
+
+def test_levels_next_to_the_chain_bottom_start_from_the_2h_level(monkeypatch):
+    """On 1 201 points the coarse operator has no coarse operator of its own,
+    so the 2h level alone predicts each level; from it a level takes at most
+    3 Newton sweeps, against up to 6 from the midpoint of an isolating bracket."""
+    op = _spectrum_operator("--model", "oscillator", "--grid", "0.001,12,1201")
+    assert numsolve._coarsened(numsolve._coarsened(op)) is None
+    _assert_lapack_agreement_and_certificates(op, 10)
+    work = _count_work(monkeypatch, op)
+    lowest_eigenvalues(op, 10)
+    assert len(work) == 10 and max(sweeps for sweeps, _ in work) <= 3
+
+
+def test_wrong_predictions_still_give_certified_levels(monkeypatch):
+    """A prediction that is level i+1, far above the levels, below the
+    spectrum or midway between two levels costs sweeps, not correctness: the
+    levels are LAPACK's, certified, for at most twice the Newton sweeps of
+    the solve without predictions."""
+    op, k = _spectrum_operator("--model", "coulomb"), 10
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, k))
+    work = _count_work(monkeypatch, op)
+
+    def solve(predictions):
+        work.clear()
+        solver = numsolve._LevelSolver(op, 1e-10, predictions)
+        eigs = [solver.level(i) for i in range(k)]
+        _assert_certified_lapack_levels(op, eigs, 1e-10, ref)
+        return sum(sweeps for sweeps, _ in work), solver
+
+    unpredicted, solver = solve(())
+    for predictions in (list(ref[1:]), [10.0 * ref[k - 1]] * k, [solver.lo - 1.0] * k,
+                        list(0.5 * (ref[:-1] + ref[1:]))):
+        assert solve(predictions)[0] <= 2 * unpredicted
+
+
+@given(op=tridiagonal_operators(), k_share=st.floats(0.0, 1.0),
+       tol=st.sampled_from([1e-10, 1e-6]), data=st.data())
+def test_arbitrary_predictions_still_give_certified_levels(op, k_share, tol, data):
+    k = 1 + int(k_share * (min(op.size, 12) - 1))
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True) if op.size > 1 else op.diag
+    spread = 2.0 * float(np.max(np.abs(op.off), initial=0.0)) + 1.0
+    near = st.floats(float(np.min(op.diag)) - spread, float(np.max(op.diag)) + spread)
+    predictions = data.draw(st.lists(st.one_of(near, st.sampled_from(ref.tolist()), st.floats()),
+                                     max_size=k))
+    solver = numsolve._LevelSolver(op, tol, predictions)
+    _assert_certified_lapack_levels(op, [solver.level(i) for i in range(k)], tol, ref)
 
 
 def test_newton_sweep_slope_is_the_log_det_derivative():
@@ -513,6 +614,22 @@ def _check_against_lapack(op, k):
 @given(op=tridiagonal_operators(), k_share=st.floats(0.0, 1.0))
 def test_twisted_eigenvector_matches_lapack(op, k_share):
     _check_against_lapack(op, 1 + int(k_share * (min(op.size, 6) - 1)))
+
+
+def test_eigenvector_takes_every_shift_a_level_certificate_allows():
+    """A shift 0.45 eff_tol from a level of the 16 001-point Coulomb window
+    leaves a twisted residual near 0.45 eff_tol/max|v|, above the residual
+    check's bound for these spread-out levels; the vector at its Rayleigh
+    quotient passes the check and is LAPACK's vector."""
+    op = _spectrum_operator("--model", "coulomb", "--grid", "0.001,250,16001")
+    eff_tol, norm = _eff_tol(op, 1e-10)
+    vals, vecs = eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 10))
+    for i in range(10):
+        gap = min(vals[i + 1] - vals[i], vals[i] - vals[i - 1] if i else np.inf)
+        for shift in (vals[i] - 0.45 * eff_tol, vals[i] + 0.45 * eff_tol):
+            v = eigenvector(op, float(shift))[1:-1]
+            angle = (math.sqrt(op.size) * eff_tol + 64.0 * EPS * norm) / gap
+            assert 1.0 - abs(float(v @ vecs[:, i])) / np.linalg.norm(v) <= angle**2 + op.size * EPS
 
 
 @pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
