@@ -6,15 +6,6 @@ wavefunctions where they exist, and verifies everything against an
 independent finite-difference eigensolver.
 """
 
-import os
-
-# Every BLAS call here is an O(n) reduction over one grid, too small to gain
-# from a thread pool; a value the caller set still wins.  This takes effect
-# only where numpy is first imported after this package.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
-
 from .core import (
     ConfigurationError,
     DomainError,

@@ -18,10 +18,11 @@ On an odd uniform grid, Newton's iteration starts from a nested-grid
 prediction, with no count taken first: the same operator on every other grid
 node is solved recursively to a looser tolerance, and Richardson
 extrapolation of the h^2 expansion from the grids with 2h and 4h (2h alone
-next to the chain's bottom) predicts the level.  Where the iteration strays,
-or there is no prediction (an even grid, an off-diagonal other than -1/h^2,
-a coarse operator below _COARSE_MIN_ROWS rows, a failed coarse solve),
-counts isolate the level first.  Both ways end in the eff_tol/2 certificate.
+next to the chain's bottom) predicts the level.  Where it strays, counts
+close in on the prediction on a log scale and isolate the level, as they do
+from the start with no prediction (an even grid, an off-diagonal other than
+-1/h^2, a coarse operator below _COARSE_MIN_ROWS rows, a failed coarse
+solve).  All ways end in the eff_tol/2 certificate.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -197,22 +198,28 @@ class _LevelSolver:
 
     def bracket(self, i: int) -> tuple:
         """Tightest (a, count(a), b, count(b)) with count(a) <= i < count(b);
-        b is None while nothing bounds level i from above."""
-        a, ca, b, cb = self.lo, 0, None, None
+        b is hi and count(b) None while nothing bounds level i from above."""
+        a, ca, b, cb = self.lo, 0, self.hi, None
         for lam, c in self.counts:
             if c <= i:
                 if lam > a:
                     a, ca = lam, c
-            elif b is None or lam < b:
+            elif cb is None or lam < b:
                 b, cb = lam, c
         return a, ca, b, cb
 
-    def narrow(self, i: int, isolate: bool) -> tuple:
+    def narrow(self, i: int, isolate: bool, p: float = math.nan) -> tuple:
         """Bisect level i's bracket until it is eff_tol wide or, with
-        isolate, holds no eigenvalue but level i's; returns the bracket."""
+        isolate, holds no eigenvalue but level i's; returns the bracket.
+        While the level's distance from p, a point outside the bracket, is not
+        known to a factor of two, each cut halves the log of that distance."""
         for _ in range(_MAX_BISECTIONS):
             a, ca, b, cb = self.bracket(i)
-            if b is None:
+            near, far = sorted((max(abs(p - a), self.eff_tol), max(abs(p - b), self.eff_tol)))
+            log_cut = p + math.copysign(math.sqrt(near * far), a - p)
+            if far > 2.0 * near and a < log_cut < b:
+                lam = log_cut
+            elif cb is None:
                 lam = min(self.lo + self.step, self.hi)
                 self.step *= 2.0
             elif b - a <= self.eff_tol or (isolate and ca == i and cb == i + 1):
@@ -227,32 +234,30 @@ class _LevelSolver:
     def certified(self, i: int, lam: float) -> bool:
         """The two-count certificate of lam as level i; a kept count may settle a side."""
         half = 0.5 * self.eff_tol
-        a, _, b, _ = self.bracket(i)
+        a, _, b, cb = self.bracket(i)
         return ((a >= lam - half or self.count(lam - half) <= i)
-                and (b is not None and b <= lam + half or i < self.count(lam + half)))
+                and (cb is not None and b <= lam + half or i < self.count(lam + half)))
 
     def newton(self, i: int, x: float, predicted: bool):
         """Newton's iteration on det(T - lam I) for level i from x inside its
-        bracket (up to hi while unbounded), read again after every sweep;
-        the certified level, or None.
+        bracket, read again after every sweep; the certified level, or None.
 
-        A step that leaves the bracket or is not at most half the previous
-        one ends a predicted start, which offers every iterate to the
-        certificate.  From the midpoint of an isolating bracket such a step
-        is replaced by bisection, and the iterate is offered once the step is
-        below eff_tol/4, or once the error that quadratic convergence predicts
-        from two Newton steps in a row, step^3 / previous^2, is below
-        eff_tol/64; a failed certificate or a bracket eff_tol wide ends it.
+        A step that leaves the bracket or is not at most half the previous one
+        ends a predicted start, which offers every iterate to the certificate.
+        From the midpoint of an isolating bracket such a step is replaced by
+        bisection, and the iterate is offered once the step is below eff_tol/4,
+        or once the error that quadratic convergence predicts from two Newton
+        steps in a row, step^3 / previous^2, is below eff_tol/64; a failed
+        certificate or a bracket eff_tol wide ends it.
         """
         a, _, b, _ = self.bracket(i)
-        last_step, newton_step = (self.hi if b is None else b) - a, None
+        last_step, newton_step = b - a, None
         if not 0.0 < x - a < last_step:
             return None
         for _ in range(_MAX_NEWTON_STEPS):
             c, slope = _newton_sweep(self.op, x)
             self.counts.append((x, c))
             a, _, b, _ = self.bracket(i)
-            b = self.hi if b is None else b
             y = x - 1.0 / slope if slope != 0.0 else math.nan
             step = abs(y - x)
             if not (a < y < b and step <= 0.5 * last_step):
@@ -273,17 +278,15 @@ class _LevelSolver:
         return None
 
     def level(self, i: int) -> float:
-        if i < len(self.predictions):
-            lam = self.newton(i, self.predictions[i], predicted=True)
-            if lam is not None:
-                return lam
-        a, b = self.narrow(i, isolate=True)
-        if b - a > self.eff_tol:
-            lam = self.newton(i, 0.5 * (a + b), predicted=False)
-            if lam is not None:
-                return lam
+        p = self.predictions[i] if i < len(self.predictions) else math.nan
+        lam = self.newton(i, p, predicted=True)  # None at once where p is nan
+        if lam is None:
+            a, b = self.narrow(i, isolate=True, p=p)
+            lam = self.newton(i, 0.5 * (a + b), predicted=False) if b - a > self.eff_tol else None
+        if lam is None:
             a, b = self.narrow(i, isolate=False)
-        return 0.5 * (a + b)
+            lam = 0.5 * (a + b)
+        return lam
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> list:
@@ -349,12 +352,11 @@ def _pivots(rows, e2_rows, lam: float, pivmin: float) -> np.ndarray:
     """LDL^T pivots of (T - lam I) down the given rows; a pivot smaller in
     magnitude than pivmin is replaced by -pivmin, as in sturm_count."""
     out, q = [], math.inf
-    append = out.append
     for di, e2 in zip(rows, e2_rows):
         q = di - lam - e2 / q
         if -pivmin < q < pivmin:
             q = -pivmin
-        append(q)
+        out.append(q)
     return np.array(out)
 
 
@@ -389,9 +391,9 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     z_i = -e_i/D+_i z_{i+1} below r and z_i = -e_{i-1}/D-_i z_{i-1} above r
     solves (T - lam) z = gamma_r e_r (Fernando 1997; Dhillon & Parlett 2004),
     so its angle to the true eigenvector is of order |lam - lambda|/gap.  Its
-    residual |gamma_r x_r| is near |lam - lambda|/|x_r|, up to sqrt(n) times
-    a level's error; a vector failing the residual check is built once more
-    at its Rayleigh quotient lam + gamma_r x_r^2, if that is within the bound.
+    residual |gamma_r x_r|, near |lam - lambda|/|x_r|, can reach sqrt(n) times a
+    level's error, so a failing vector is rebuilt, and checked, at its Rayleigh
+    quotient lam + gamma_r x_r^2 where that lies within the check's bound of lam.
 
     Returns the full-grid samples (zeros at the Dirichlet walls), normalized
     to unit quadrature norm, with the sign fixed so the first extremum is
@@ -400,11 +402,12 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     """
     d, e2_all, _, pivmin, _ = op._sweep_rows
     bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
+    shift = lam
     for retry in (False, True):
-        plus = _pivots(d, e2_all, lam, pivmin)
-        minus = _pivots(reversed(d), chain([0.0], reversed(e2_all)), lam, pivmin)[::-1]
+        plus = _pivots(d, e2_all, shift, pivmin)
+        minus = _pivots(reversed(d), chain([0.0], reversed(e2_all)), shift, pivmin)[::-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma = plus + minus - (op.diag - lam)
+            gamma = plus + minus - (op.diag - shift)
             r = int(np.argmin(np.abs(gamma)))
             z = np.ones(op.size)
             z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
@@ -413,15 +416,13 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
             raise NumericError(f"twisted factorization overflows at shift {lam!r}")
         x = z / np.max(np.abs(z))
         x /= np.linalg.norm(x)
-        residual = float(np.linalg.norm(_matvec(op, x) - lam * x))
+        residual = float(np.linalg.norm(_matvec(op, x) - shift * x))
         step = float(gamma[r]) * float(x[r]) ** 2
         if residual <= 10.0 * bound or retry or not abs(step) <= bound:
             break
-        lam += step
+        shift = lam + step
     if residual > 10.0 * bound:
-        raise NumericError(
-            f"eigenvector residual {residual:.3e} too large for shift {lam!r}"
-        )
+        raise NumericError(f"eigenvector residual {residual:.3e} too large for shift {lam!r}")
     full = np.zeros(op.grid.n_points)
     full[1:-1] = x
     full *= _first_extremum_sign(full)

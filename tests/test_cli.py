@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -26,7 +23,6 @@ from susyrad import (
     oscillator_model,
     sextic_model,
 )
-import susyrad
 from susyrad import numsolve
 from susyrad.core import FAMILIES
 
@@ -607,23 +603,3 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
     else:
         with pytest.raises(ConfigurationError):
             analytic_wavefunctions(model, 0, grid)
-
-
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS")
-
-
-@pytest.mark.parametrize("preset, expected", [
-    ({}, ("1", "1", "1", "1")),
-    ({"OPENBLAS_NUM_THREADS": "2"}, ("1", "2", "1", "1")),
-], ids=["unset", "preset"])
-def test_import_pins_blas_pools_to_one_thread_unless_the_caller_set_them(preset, expected):
-    """A fresh interpreter sees every BLAS pool at one thread after `import
-    susyrad`; a value already in the environment is kept."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(susyrad.__file__)))
-    script = ("import os, susyrad; "
-              f"print(' '.join(os.environ.get(v, '-') for v in {BLAS_THREAD_VARS!r}))")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert tuple(out.split()) == expected

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver: hand oracles, scipy cross-checks, order tests."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -494,6 +495,45 @@ def test_levels_next_to_the_chain_bottom_start_from_the_2h_level(monkeypatch):
     assert len(work) == 10 and max(sweeps for sweeps, _ in work) <= 3
 
 
+def test_narrow_closes_in_on_p_on_a_log_scale():
+    """Level 0 of the 2x2 toy is 1.0 and eff_tol is 1e-12.  A count at p, 1e-3
+    above the level, isolates it in [lo, p], which spans 12 decades of
+    distance from p; halving the log of that distance pins the level's to a
+    factor of 2 in six counts, where bisecting [lo, p] to a width of 1e-3
+    takes ten."""
+    op, p = _toy_operator([2.0, 2.0], [-1.0]), 1.001
+    plain, near = numsolve._LevelSolver(op, 1e-12), numsolve._LevelSolver(op, 1e-12)
+    plain.count(p)
+    assert plain.narrow(0, isolate=True) == (plain.lo, p)
+    near.count(p)
+    a, b = near.narrow(0, isolate=True, p=p)
+    assert a < 1.0 < b and p - a <= 2.0 * (p - b) and len(near.counts) <= 7
+
+
+#: windows where the nested-grid prediction is far enough off that Newton's
+#: iteration from it strays: Coulomb levels 0-1 near the bottom of a short
+#: coarse chain, and Morse levels 2-3 among the tower-top box states
+STRAYING_WINDOWS = [
+    (10, ("--model", "coulomb", "--grid", "0.001,250,801")),
+    (10, ("--model", "coulomb", "--grid", "0.001,250,1201")),
+    (4, ("--model", "morse", "--a", "3.126", "--alpha", "0.826", "--b", "2.513")),
+]
+
+
+@pytest.mark.parametrize("k, argv", STRAYING_WINDOWS, ids=[" ".join(a) for _, a in STRAYING_WINDOWS])
+def test_a_prediction_that_strays_costs_at_most_8_newton_sweeps(k, argv, monkeypatch):
+    """Where the iteration from a prediction strays, counts close in on the
+    prediction before the level is isolated, so a level takes at most 8
+    Newton sweeps; isolating it by bisection of the bracket up to the
+    prediction took 20-23, and counts at a half-width around it 10-14."""
+    op = _spectrum_operator(*argv)
+    work = _count_work(monkeypatch, op)
+    eigs = lowest_eigenvalues(op, k)
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, k - 1))
+    _assert_certified_lapack_levels(op, eigs, 1e-10, ref)
+    assert len(work) == k and max(sweeps for sweeps, _ in work) <= 8
+
+
 def test_wrong_predictions_still_give_certified_levels(monkeypatch):
     """A prediction that is level i+1, far above the levels, below the
     spectrum or midway between two levels costs sweeps, not correctness: the
@@ -630,6 +670,16 @@ def test_eigenvector_takes_every_shift_a_level_certificate_allows():
             v = eigenvector(op, float(shift))[1:-1]
             angle = (math.sqrt(op.size) * eff_tol + 64.0 * EPS * norm) / gap
             assert 1.0 - abs(float(v @ vecs[:, i])) / np.linalg.norm(v) <= angle**2 + op.size * EPS
+
+
+def test_eigenvector_refuses_a_rayleigh_retry_beyond_its_bound():
+    """Level 0 of the 2x2 toy is 1.0; with tol 1e-12 the residual bound is
+    1e-11.  At 8e-12 from the level the residual, sqrt(2) * 8e-12, fails it,
+    and the Rayleigh quotient lies 8e-12 away, beyond the 1e-12 a retry may
+    move: the call raises and names the shift it was given."""
+    shift = 1.0 + 8e-12
+    with pytest.raises(NumericError, match=re.escape(repr(shift))):
+        eigenvector(_toy_operator([2.0, 2.0], [-1.0]), shift, tol=1e-12)
 
 
 @pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
