@@ -159,7 +159,7 @@ def _oscillator_w(m: "ModelSpec") -> Superpotential:
 
 def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
     s = math.sqrt(m.units.mass * _omega_t(m) / m.units.hbar)
-    return RadialGrid(1e-4 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
+    return RadialGrid(1e-6 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
 
 
 def _coulomb_w(m: "ModelSpec") -> Superpotential:
@@ -171,7 +171,7 @@ def _coulomb_w(m: "ModelSpec") -> Superpotential:
 
 def _coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
     kappa, n_r = m.params["kappa"], n_max + m.ell + 1
-    return RadialGrid(1e-4 / kappa, (2.0 * n_r**2 + 21.0 * n_r) / kappa, 16001)
+    return RadialGrid(1e-6 / kappa, (2.0 * n_r**2 + 21.0 * n_r) / kappa, 16001)
 
 
 def _morse_w(m: "ModelSpec") -> Superpotential:

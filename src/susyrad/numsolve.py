@@ -11,8 +11,11 @@ narrow the bracket of every later level.  A Newton iteration on
 log|det(T - lam)|, whose derivative rides along the same pivot recurrence,
 refines a level, and two counts certify it to the same tolerance bisection
 would give.  A count stops early once the rows left are diagonally dominant
-enough at lam that none of their pivots can turn negative.  An eigenvector
-takes one forward and one backward pivot sweep at its level.
+enough at lam that none of their pivots can turn negative.  A Newton sweep
+takes the same exit test and then sweeps on as deep again past the row where
+that dominance sets in, so that its leading minor's level lies within Newton's
+own error of the operator's.  An eigenvector takes one forward and one
+backward pivot sweep at its level.
 
 On an odd uniform grid, Newton's iteration starts from a nested-grid
 prediction, with no count taken first: the same operator on every other grid
@@ -142,25 +145,37 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
 
 
 def _newton_sweep(op: TridiagonalOperator, lam: float) -> tuple:
-    """Sturm count at lam and the slope d/dlam log|det(T - lam I)|, in one sweep.
+    """Sturm count at lam and the slope d/dlam log|det(T_m - lam I)| of the
+    leading minor T_m of the rows swept, in one sweep.
 
     log|det| is the sum of log|q_i| over the pivots, so the slope is the sum
     of q_i'/q_i.  Differentiating q_i = d_i - lam - e_{i-1}^2/q_{i-1} gives
     q_i' = -1 + (e_{i-1}^2/q_{i-1}) (q_{i-1}'/q_{i-1}); t carries q_i'/q_i.
-    The pivots and the count are exactly those of sturm_count; the sweep
-    runs to the last row, since every row adds to the slope.
+    The sweep takes sturm_count's blocks and exit test, so its count is
+    sturm_count's.  At the exit row m, T_m has an eigenvalue about |lam - mu|
+    from the operator's mu near lam, which makes Newton's iteration linear, so
+    the sweep runs max(m - tail, _EXIT_TEST_ROWS) rows more, twice as deep
+    past tail, which brings that gap to about |lam - mu|^2, Newton's own error.
     """
-    d, e2_all, _, pivmin, _ = op._sweep_rows
-    count, q, t, slope = 0, math.inf, 0.0, 0.0
-    for di, e2 in zip(d, e2_all):
-        g = e2 / q
-        q = di - lam - g
-        if q < pivmin:
-            count += 1
-            if q > -pivmin:
-                q = -pivmin
-        t = (g * t - 1.0) / q
-        slope += t
+    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
+    tail = int(np.searchsorted(safe, lam + 4.0 * _EPS * abs(lam)))
+    rows, n = zip(d, e2_all), len(d)
+    count, q, t, slope, i, block, stop = 0, math.inf, 0.0, 0.0, 0, tail, n
+    while i < stop:
+        for di, e2 in islice(rows, block):
+            g = e2 / q
+            q = di - lam - g
+            if q < pivmin:
+                count += 1
+                if q > -pivmin:
+                    q = -pivmin
+            t = (g * t - 1.0) / q
+            slope += t
+        i += block
+        block = _EXIT_TEST_ROWS
+        if stop == n and tail <= i < n and q >= e_abs[i]:  # sturm_count stops here
+            block = max(i - tail, _EXIT_TEST_ROWS)
+            stop = i + block
     return count, slope
 
 
@@ -216,7 +231,7 @@ class _LevelSolver:
         for _ in range(_MAX_BISECTIONS):
             a, ca, b, cb = self.bracket(i)
             near, far = sorted((max(abs(p - a), self.eff_tol), max(abs(p - b), self.eff_tol)))
-            log_cut = p + math.copysign(math.sqrt(near * far), a - p)
+            log_cut = p + math.copysign(math.sqrt(near) * math.sqrt(far), a - p)
             if far > 2.0 * near and a < log_cut < b:
                 lam = log_cut
             elif cb is None:

@@ -1,13 +1,15 @@
 """Acceptance gate: one test per advertised guarantee, at the stated tolerance.
 
-Run with -v to get one pass/fail line per guarantee. Two tests are expected
-failures (strict xfail): with the inner Dirichlet wall pinned at r_min = 1e-3
+Run with -v to get one pass/fail line per guarantee. Three tests are expected
+failures (strict xfail). Two pin the inner Dirichlet wall at r_min = 1e-3, so
 every level shifts by roughly |u'(r_min)|^2 * r_min, which exceeds the stated
-tolerance no matter how fine the grid is. The companion diagnostic at the
-bottom shows the identical setups pass once the wall moves inward to 1e-4,
-isolating the defect to wall placement rather than the solver.
+tolerance no matter how fine the grid is. The companion diagnostic shows the
+identical setups pass once the wall moves inward to 1e-4, isolating the defect
+to wall placement rather than the solver. The third is default verify on a
+Morse point whose top level lies just below threshold (see VERIFY_POINTS).
 """
 
+import json
 import math
 import time
 
@@ -36,6 +38,7 @@ from susyrad import (
     sextic_model,
     superpotential_from_model,
 )
+from susyrad.cli import main
 
 OSC_LEVELS = [0.0, 4.0, 8.0, 12.0, 16.0]
 COULOMB_LEVELS = [0.0, 3.0 / 4.0, 8.0 / 9.0, 15.0 / 16.0]
@@ -282,3 +285,48 @@ def test_wall_shift_dominates_pinned_grid_failures():
             f"{model.family.value}: shift ratio {dev_pinned / dev_inner:.1f} "
             "too small for a wall-dominated error"
         )
+
+
+#: parameter points across the ranges the benchmark draws verify's models
+#: from, each family's extremes included; Coulomb at l = 0 and kappa 1.548,
+#: 1.643, 1.974 and 2.0 are drawn points that failed analytic_vs_numeric
+#: while the default inner wall sat at 1e-4 / kappa
+VERIFY_POINTS = [
+    ("oscillator", "--omega", "0.5", "--B", "0.0"),
+    ("oscillator", "--omega", "2.0", "--B", "1.0"),
+    ("oscillator", "--omega", "1.234", "--B", "0.5", "--ell", "1"),
+    ("oscillator", "--omega", "2.0", "--B", "0.0", "--ell", "2"),
+    ("coulomb", "--kappa", "0.5"),
+    ("coulomb", "--kappa", "1.548"),
+    ("coulomb", "--kappa", "1.643"),
+    ("coulomb", "--kappa", "1.974"),
+    ("coulomb", "--kappa", "2.0"),
+    ("coulomb", "--kappa", "2.0", "--ell", "1"),
+    ("coulomb", "--kappa", "0.5", "--ell", "2"),
+    ("morse", "--a", "2.5", "--alpha", "1.2", "--b", "2.5"),
+    ("morse", "--a", "3.5", "--alpha", "0.8", "--b", "3.5"),
+    pytest.param(
+        ("morse", "--a", "3.126", "--alpha", "0.826", "--b", "2.513"),
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="the top level n = 3 lies 1.2e-3 below the b^2 threshold, so its "
+            "state spreads over a long window whose O(h^2) error exceeds the budgets: "
+            "isospectral 5.5e-3 against 2e-3, analytic_vs_numeric 2.6e-3 "
+            "against 1e-3"),
+    ),
+    ("anharmonic", "--a", "0.5", "--omega-t", "0.5", "--b", "0.5"),
+    ("anharmonic", "--a", "1.5", "--omega-t", "1.5", "--b", "1.5"),
+    ("sextic", "--omega-t", "0.5", "--b", "0.5"),
+    ("sextic", "--omega-t", "1.5", "--b", "1.5"),
+    ("deformed-coulomb", "--e2", "0.5", "--omega-t", "0.5"),
+    ("deformed-coulomb", "--e2", "1.5", "--omega-t", "1.5"),
+]
+
+
+@pytest.mark.parametrize("argv", VERIFY_POINTS, ids=" ".join)
+def test_default_verify_passes_across_each_family_parameter_range(argv, capsys):
+    """Default verify, every check its model's premises allow, on each
+    family's default window."""
+    code = main(["verify", "--model", *argv])
+    failed = [e for e in json.loads(capsys.readouterr().out)["entries"] if e["status"] != "pass"]
+    assert code == 0 and not failed, failed

@@ -569,6 +569,15 @@ def test_arbitrary_predictions_still_give_certified_levels(op, k_share, tol, dat
     _assert_certified_lapack_levels(op, [solver.level(i) for i in range(k)], tol, ref)
 
 
+def test_narrow_takes_the_log_scale_cut_without_overflow_near_the_float_limit():
+    """The cut sits at the geometric mean of the bracket ends' distances from
+    the prediction; from a prediction near 1e154 their product overflows, so
+    the mean is taken as sqrt(near) * sqrt(far)."""
+    op = _toy_operator([4.00000001e9], [])
+    solver = numsolve._LevelSolver(op, 1e-10, [1.3407807929942597e154])
+    _assert_certified_lapack_levels(op, [solver.level(0)], 1e-10, op.diag)
+
+
 def test_newton_sweep_slope_is_the_log_det_derivative():
     """The sweep's slope is d/dlam log|det(T - lam)| = sum_j 1/(lam - lam_j),
     and its count is the Sturm count."""
@@ -627,6 +636,60 @@ def count_cases(draw):
 def test_early_exit_sturm_count_equals_the_full_sweep(case):
     op, lam = case
     assert sturm_count(op, lam) == _full_sweep_count(op, lam)
+
+
+@given(case=count_cases())
+@example(case=(_toy_operator([2.0, 2.0], [-1.0]), 1.0))
+def test_newton_sweep_count_equals_the_full_sweep(case):
+    op, lam = case
+    assert _newton_sweep(op, lam)[0] == _full_sweep_count(op, lam)
+
+
+#: the Coulomb default window and the scan's 16 001-point Coulomb window
+COULOMB_WINDOWS = [("--model", "coulomb"), ("--model", "coulomb", "--grid", "0.001,250,16001")]
+
+
+@pytest.mark.parametrize("argv", COULOMB_WINDOWS, ids=" ".join)
+def test_one_newton_step_from_near_a_level_stays_quadratic(argv):
+    """From lam_i + delta, delta = 1e-5 max(1, |lam_i|), one Newton step lands
+    within 0.05 delta of LAPACK's level i, levels 0-9: the shortened sweep
+    leaves at most 0.013 delta, a sweep of every row 0.023 delta.  A sweep
+    that stopped at sturm_count's exit row would leave 0.08-0.98 delta, since
+    the leading minor it reads has a level about delta from lam_i."""
+    op = _spectrum_operator(*argv)
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 9))
+    for lam in ref.tolist():
+        delta = 1e-5 * max(1.0, abs(lam))
+        x = lam + delta
+        assert abs(x - 1.0 / _newton_sweep(op, x)[1] - lam) <= 0.05 * delta
+
+
+class _CountedRows(list):
+    """A list that counts the items its iterators hand out."""
+
+    read = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.read += 1
+            yield item
+
+
+def _rows_a_newton_sweep_reads(op, lam):
+    d, *rest = op._sweep_rows
+    op.__dict__["_sweep_rows"] = (rows := _CountedRows(d), *rest)
+    _newton_sweep(op, lam)
+    return rows.read
+
+
+def test_newton_sweep_stops_twice_as_deep_as_the_count_past_the_turning_row():
+    """At the certified level 0 of the Coulomb default window the sweep stops
+    in the level's decaying tail, after 10 % of the rows; level 9's tail
+    reaches the window's end, so its sweep reads every row."""
+    op = _spectrum_operator("--model", "coulomb")
+    eigs = lowest_eigenvalues(op, 10)
+    assert _rows_a_newton_sweep_reads(op, eigs[0]) <= op.size // 4
+    assert _rows_a_newton_sweep_reads(op, eigs[9]) == op.size
 
 
 def _check_against_lapack(op, k):
