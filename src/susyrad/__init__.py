@@ -24,7 +24,6 @@ from .core import (
     deformed_coulomb_model,
     epsilon_to_energy,
     morse_model,
-    nonrelativistic_limit,
     omega_total,
     oscillator_model,
     sextic_model,
@@ -37,18 +36,15 @@ from .analytic import (
     analytic_wavefunctions,
 )
 from .numsolve import (
-    IsospectralReport,
     TridiagonalOperator,
     cumulative_quadrature,
     discretize,
     eigenvector,
-    isospectral_check,
     lowest_eigenvalues,
     quadrature,
     sturm_count,
 )
 from .qes import (
-    QesGroundState,
     qes_ground_state,
     qes_numeric_spectrum,
 )
@@ -56,7 +52,6 @@ from .superpot import (
     PartnerPotentials,
     Superpotential,
     apply_lowering,
-    apply_raising,
     ground_state_from_w,
     partner_potentials,
     superpotential_from_model,
@@ -68,12 +63,10 @@ __all__ = [
     "ConfigurationError",
     "DomainError",
     "Family",
-    "IsospectralReport",
     "ModelSpec",
     "NoBoundStateError",
     "NumericError",
     "PartnerPotentials",
-    "QesGroundState",
     "RadialGrid",
     "RadialWavefunction",
     "Source",
@@ -87,7 +80,6 @@ __all__ = [
     "analytic_wavefunctions",
     "anharmonic_model",
     "apply_lowering",
-    "apply_raising",
     "coulomb_model",
     "cumulative_quadrature",
     "custom_model",
@@ -96,10 +88,8 @@ __all__ = [
     "eigenvector",
     "epsilon_to_energy",
     "ground_state_from_w",
-    "isospectral_check",
     "lowest_eigenvalues",
     "morse_model",
-    "nonrelativistic_limit",
     "omega_total",
     "oscillator_model",
     "partner_potentials",

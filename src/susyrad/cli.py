@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +51,8 @@ from .numsolve import (
     TridiagonalOperator,
     discretize,
     eigenvector,
+    isospectral_check,
     lowest_eigenvalues,
-    pair_partner_levels,
     quadrature,
 )
 from .superpot import (
@@ -135,7 +136,7 @@ class RunConfig:
 def zero_mode(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
     """Closed-form zero mode: the QES formula, else exp(-int W)."""
     if model.is_qes:
-        return _qes.qes_ground_state(model, grid).f0
+        return _qes.qes_ground_state(model, grid)
     return ground_state_from_w(superpotential_from_model(model), grid)
 
 
@@ -158,11 +159,9 @@ def default_grid(model: ModelSpec, n_max: int) -> RadialGrid:
 
 
 def _check_isospectral(cfg):
-    eigs_minus = cfg.eigenvalues(4)
-    eigs_plus = lowest_eigenvalues(discretize(cfg.partners.v_plus, cfg.grid), 3)
-    rep = pair_partner_levels(eigs_minus, eigs_plus, 2e-3)
-    detail = "pair deviations " + ", ".join(f"{d:.3e}" for d in rep.deviations)
-    return rep.max_abs_deviation, rep.tolerance, detail
+    deviations = isospectral_check(cfg.eigenvalues(4), cfg.partners.v_plus, cfg.grid)
+    detail = "pair deviations " + ", ".join(f"{d:.3e}" for d in deviations)
+    return max(abs(d) for d in deviations), 2e-3, detail
 
 
 def _check_intertwine(cfg):
@@ -587,6 +586,12 @@ def resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a token that starts with "-" and is not a plain number for
+    # a flag, so the negative r_min of "--grid -12,40,801" is attached to --grid
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--grid" and re.match(r"-\.?\d", argv[i + 1]):
+            argv[i:i + 2] = ["--grid=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -36,18 +36,17 @@ class NumericError(RuntimeError):
 class Units:
     """Physical constants entering the radial equations.
 
-    Defaults are natural units.  `eps0` is the permittivity absorbed into the
-    Coulomb coupling; it only matters if you build kappa yourself.
+    Defaults are natural units.  The permittivity has no field: it is
+    absorbed into the Coulomb coupling kappa, which is passed as given.
     """
 
     hbar: float = 1.0
     mass: float = 1.0
     c: float = 1.0
     e_charge: float = 1.0
-    eps0: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "c", "e_charge", "eps0"):
+        for name in ("hbar", "mass", "c", "e_charge"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"units field {name!r} must be strictly positive")
 
@@ -492,13 +491,6 @@ def _energy_pair(epsilon_sq: float, units: Units) -> tuple[float, float]:
         raise DomainError("epsilon_sq below the sub-rest-mass bound; no real energy")
     e = math.sqrt(arg)
     return (e, -e)
-
-
-def nonrelativistic_limit(epsilon_sq: float, units: Units = NATURAL_UNITS) -> float:
-    """First-order expansion of E - mc^2: returns hbar^2 * epsilon_sq / (2m)."""
-    if epsilon_sq < 0:
-        raise DomainError("epsilon_sq must be nonnegative")
-    return units.hbar ** 2 * epsilon_sq / (2.0 * units.mass)
 
 
 # --------------------------------------------------------------------------

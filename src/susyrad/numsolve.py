@@ -498,39 +498,8 @@ def cumulative_quadrature(f_samples, grid: RadialGrid) -> np.ndarray:
 # Isospectrality
 
 
-@dataclass(frozen=True)
-class IsospectralReport:
-    """Pairing of the partner spectra: eigs_plus[i] against eigs_minus[i+1]."""
-
-    eigs_minus: tuple
-    eigs_plus: tuple
-    deviations: tuple
-    max_abs_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_deviation < self.tolerance
-
-
-def isospectral_check(v_minus, v_plus, grid: RadialGrid, k: int = 5,
-                      tol: float = 2e-3) -> IsospectralReport:
-    """Verify the partner-spectrum shift: the i-th level of V+ matches the
-    (i+1)-th level of V- for the first k-1 pairs."""
-    if k < 2:
-        raise ValueError("need k >= 2 to form at least one pair")
-    eigs_m = lowest_eigenvalues(discretize(v_minus, grid), k)
-    eigs_p = lowest_eigenvalues(discretize(v_plus, grid), k - 1)
-    return pair_partner_levels(eigs_m, eigs_p, tol)
-
-
-def pair_partner_levels(eigs_minus, eigs_plus, tol: float) -> IsospectralReport:
-    """Report on solved partner levels: eigs_plus[i] against eigs_minus[i+1]."""
-    deviations = tuple(p - m for p, m in zip(eigs_plus, eigs_minus[1:]))
-    return IsospectralReport(
-        eigs_minus=tuple(eigs_minus),
-        eigs_plus=tuple(eigs_plus),
-        deviations=deviations,
-        max_abs_deviation=max(abs(d) for d in deviations),
-        tolerance=tol,
-    )
+def isospectral_check(eigs_minus, v_plus, grid: RadialGrid) -> list:
+    """The partner-spectrum shift: V+ level i minus V- level i+1, for each
+    of the len(eigs_minus) - 1 pairs, with V+ solved here."""
+    eigs_plus = lowest_eigenvalues(discretize(v_plus, grid), len(eigs_minus) - 1)
+    return [p - m for p, m in zip(eigs_plus, eigs_minus[1:])]

@@ -4,13 +4,13 @@ Only the lower-partner zero mode is known in closed form for these models
 (epsilon^2 = 0 by construction); everything above it comes from the
 finite-difference solver.  The closed-form f_0 written here is deliberately
 independent of superpot.ground_state_from_w so the two construction paths
-can be cross-checked.
+can be cross-checked; zero_mode_residual is how well it solves V_-, the
+metric of verify's ground_residual check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +32,6 @@ def _require_qes(model: ModelSpec, what: str) -> None:
         raise ConfigurationError(f"{what} requires a quasi-exactly-solvable family")
 
 
-@dataclass(frozen=True)
-class QesGroundState:
-    """Closed-form zero mode with its self-check residual.
-
-    residual_sup is zero_mode_residual(f0, V_-, grid), an O(h^2)
-    discretization of how well f_0 annihilates the lower problem at
-    epsilon^2 = 0.
-    """
-
-    grid: RadialGrid
-    f0: np.ndarray
-    epsilon_sq: float
-    residual_sup: float
-
-
 def zero_mode_residual(f0: np.ndarray, v_minus: np.ndarray, grid: RadialGrid) -> float:
     """sup |(-f0'' + V_- f0)| / sup |f0| over the grid interior, with the
     three-point Laplacian."""
@@ -54,8 +39,9 @@ def zero_mode_residual(f0: np.ndarray, v_minus: np.ndarray, grid: RadialGrid) ->
     return float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1])) / np.max(np.abs(f0)))
 
 
-def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
-    """Normalized closed-form zero mode of V_- with its residual check.
+def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
+    """Normalized closed-form zero mode f_0 of V_- (epsilon^2 = 0), sampled
+    on the grid; zero_mode_residual measures how well it solves V_-.
 
     Raises DomainError if the mode fails to decay at r_max (window too short
     or non-normalizable parameters).
@@ -68,10 +54,7 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> QesGroundState:
         raise DomainError(
             "zero mode does not decay at r_max; enlarge the window or check parameters"
         )
-    f = f / math.sqrt(quadrature(f * f, grid))
-    v_minus = partner_potentials(superpotential_from_model(model), grid).v_minus
-    residual = zero_mode_residual(f, v_minus, grid)
-    return QesGroundState(grid=grid, f0=f, epsilon_sq=0.0, residual_sup=residual)
+    return f / math.sqrt(quadrature(f * f, grid))
 
 
 def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> SpectrumResult:

@@ -85,11 +85,6 @@ def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarra
     return _ladder(sp, f_samples, grid, 1.0)
 
 
-def apply_raising(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
-    """Apply (-d/dr + W) to tabulated f; adjoint partner of apply_lowering."""
-    return _ladder(sp, f_samples, grid, -1.0)
-
-
 def ground_state_from_w(sp: Superpotential, grid: RadialGrid) -> np.ndarray:
     """Normalized lower-partner zero mode f_0 = exp(-int W) from W alone.
 

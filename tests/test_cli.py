@@ -1,11 +1,15 @@
 """End-to-end CLI tests driven through main(argv) in process."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from susyrad import (
     ConfigurationError,
@@ -486,6 +490,13 @@ def test_malformed_grid_is_usage_error(capsys):
     assert "grid" in err
 
 
+def test_negative_r_min_grid_reads_with_a_space_or_an_equals_sign(capsys):
+    spaced = run_cli(capsys, "spectrum", "--model", "morse", "--grid", "-12,40,801")
+    joined = run_cli(capsys, "spectrum", "--model", "morse", "--grid=-12,40,801")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -603,3 +614,75 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
     else:
         with pytest.raises(ConfigurationError):
             analytic_wavefunctions(model, 0, grid)
+
+
+# ------------------------------------------------------------ flag space
+
+@st.composite
+def invocations(draw):
+    """A built-in family with parameters drawn from half to twice their
+    defaults, a subcommand and its flags, on an explicit grid of at most 401
+    points (negative r_min for Morse)."""
+    family = draw(st.sampled_from([f for f in Family if f is not Family.CUSTOM]))
+    command = draw(st.sampled_from(["spectrum", "verify", "wavefunction", "partner"]))
+    argv = [command, "--model", family.value,
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    for key, default in FAMILIES[family].params.items():
+        value = default * draw(st.floats(0.5, 2.0)) if default else draw(st.floats(0.0, 2.0))
+        flag = "--" + cli._PARAM_KEYS.get(key, key).replace("_", "-")
+        argv += [flag, repr(round(value, 3))]
+    r_min = draw(st.sampled_from([-8.0, -2.0, 0.0]) if family is Family.MORSE
+                 else st.sampled_from([0.0, 1e-4, 1e-2]))
+    r_max = round(draw(st.floats(3.0, 30.0)), 2)
+    n_points = draw(st.sampled_from([401, 201, 101, 3]))
+    argv += ["--grid", f"{r_min!r},{r_max!r},{n_points}"]
+    optional = {"--ell": st.integers(0, 2), "--n-max": st.integers(0, 6),
+                "--method": st.sampled_from(["analytic", "numeric", "both"]),
+                "--checks": st.lists(st.sampled_from(list(cli.CHECKS)), min_size=1,
+                                     unique=True).map(",".join)}
+    if command == "wavefunction":
+        optional["--n"] = st.integers(0, 4)
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def _spectrum_rows(out, fmt):
+    if fmt == "json":
+        return json.loads(out)["levels"]
+    header, rows = parse_csv(out)
+    return [dict(zip(header, row)) for row in rows]
+
+
+@given(argv=invocations())
+def test_flag_space_exits_cleanly_and_deterministically(argv):
+    """Any drawn invocation exits 0-3; a usage or runtime failure is one
+    "error:" line on stderr (or, for a verify check that cannot run, in the
+    report), with no traceback or numpy warning; spectrum rows satisfy
+    E^2 = m^2 c^4 + hbar^2 c^2 eps^2; a second run prints the same bytes."""
+    code, out, err, caught = _run_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    if err:
+        assert code in (2, 3) and err.count("\n") == 1 and err.startswith("error: "), err
+    elif code in (2, 3):
+        assert argv[0] == "verify" and code == 3
+        assert any(e["metric"] is None and e["detail"].startswith("error: ")
+                   for e in json.loads(out)["entries"])
+    if argv[0] == "spectrum" and code == 0:
+        for row in _spectrum_rows(out, argv[argv.index("--format") + 1]):
+            e_plus, e_minus, eps_sq = (float(row[k]) for k in
+                                       ("energy_plus", "energy_minus", "epsilon_sq"))
+            assert e_minus == -e_plus
+            assert abs(e_plus**2 - 1.0 - eps_sq) <= 8 * np.finfo(float).eps * max(e_plus**2, 1.0)
+    assert _run_quietly(argv)[:3] == (code, out, err)

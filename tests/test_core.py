@@ -20,7 +20,6 @@ from susyrad import (
     deformed_coulomb_model,
     epsilon_to_energy,
     morse_model,
-    nonrelativistic_limit,
     omega_total,
     oscillator_model,
     sextic_model,
@@ -33,7 +32,7 @@ def test_units_defaults_are_natural():
     assert u.hbar == u.mass == u.c == u.e_charge == 1.0
 
 
-@pytest.mark.parametrize("field", ["hbar", "mass", "c", "e_charge", "eps0"])
+@pytest.mark.parametrize("field", ["hbar", "mass", "c", "e_charge"])
 def test_units_reject_nonpositive(field):
     with pytest.raises(DomainError):
         Units(**{field: 0.0})
@@ -100,12 +99,6 @@ def test_energy_identity_machine_precision():
             assert em == -ep
 
 
-def test_nonrelativistic_limit_values():
-    assert nonrelativistic_limit(0.0) == 0.0
-    assert nonrelativistic_limit(4.0) == 2.0
-    assert nonrelativistic_limit(3.0, Units(mass=3.0)) == 0.5
-
-
 def test_nonrelativistic_limit_bounds_exact_gap():
     """E - mc^2 <= hbar^2 eps^2 / 2m, with an O(eps^4) gap that shrinks ~4x
     per halving of eps^2."""
@@ -113,7 +106,7 @@ def test_nonrelativistic_limit_bounds_exact_gap():
     for eps_sq in (0.02, 0.01, 0.005):
         ep, _ = epsilon_to_energy(eps_sq)
         exact = ep - 1.0
-        approx = nonrelativistic_limit(eps_sq)
+        approx = eps_sq / 2.0  # hbar^2 eps^2 / 2m in natural units
         assert exact <= approx
         gaps.append(approx - exact)
     assert 3.5 < gaps[0] / gaps[1] < 4.5
