@@ -68,7 +68,13 @@ def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
                 f"{model.family.value} has only its ground state in closed form"
             )
         return 0.0
-    return record.epsilon_sq(model, n)
+    try:
+        eps_sq = record.epsilon_sq(model, n)
+    except OverflowError:
+        eps_sq = math.inf
+    if not math.isfinite(eps_sq):
+        raise DomainError(f"{model.family.value} level {n}: epsilon^2 overflows")
+    return eps_sq
 
 
 def analytic_spectrum(model: ModelSpec, n_max: int) -> SpectrumResult:

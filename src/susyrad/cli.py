@@ -587,11 +587,14 @@ def resolve_config(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     # argparse takes a token that starts with "-" and is not a plain number for
-    # a flag, so the negative r_min of "--grid -12,40,801" is attached to --grid
+    # a flag, so a negative value such as "-1e-05" or the r_min of
+    # "-12,40,801" is attached to the flag before it; every long flag but
+    # --help takes a value
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--grid" and re.match(r"-\.?\d", argv[i + 1]):
-            argv[i:i + 2] = ["--grid=" + argv[i + 1]]
+        if re.fullmatch(r"--\w[\w-]*", argv[i]) and argv[i] != "--help" \
+                and re.match(r"-\.?\d", argv[i + 1]):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

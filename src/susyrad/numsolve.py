@@ -23,9 +23,10 @@ node is solved recursively to a looser tolerance, and Richardson
 extrapolation of the h^2 expansion from the grids with 2h and 4h (2h alone
 next to the chain's bottom) predicts the level.  Where it strays, counts
 close in on the prediction on a log scale and isolate the level, as they do
-from the start with no prediction (an even grid, an off-diagonal other than
--1/h^2, a coarse operator below _COARSE_MIN_ROWS rows, a failed coarse
-solve).  All ways end in the eff_tol/2 certificate.
+with no prediction (an even grid, an off-diagonal other than -1/h^2, a coarse
+operator below _COARSE_MIN_ROWS rows, a failed coarse solve), and the same
+iteration starts again from the bracket's midpoint, until the eff_tol/2
+certificate holds or the bracket is eff_tol wide.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -105,6 +106,10 @@ def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
     if not np.all(np.isfinite(interior)):
         raise DomainError("potential is not finite on the interior of the grid")
     h = grid.h
+    h4 = h * h * h * h
+    # a sweep squares the off-diagonal -1/h^2, so 1/h^4 must be a finite float
+    if not (0.0 < h4 < math.inf and 1.0 / h4 < math.inf):
+        raise DomainError(f"grid spacing {h!r} is outside the float range of the operator")
     diag = 2.0 / h**2 + interior
     off = np.full(grid.n_points - 3, -1.0 / h**2)
     return TridiagonalOperator(diag=diag, off=off, grid=grid)
@@ -188,8 +193,8 @@ class _LevelSolver:
     doubles its step up from the Gershgorin bottom; the wanted levels
     usually sit just above that bottom and far below the Gershgorin top.
     Level i reads only counts taken for levels 0..i, so it does not depend
-    on how many levels are asked for.  predictions[i], where given, is where
-    Newton's iteration for level i starts, before any count is taken for it.
+    on how many levels are asked for.  Newton's iteration for level i starts
+    at predictions[i], where given, and after narrow at the bracket's midpoint.
     """
 
     def __init__(self, op: TridiagonalOperator, tol: float, predictions=()):
@@ -223,11 +228,10 @@ class _LevelSolver:
                 b, cb = lam, c
         return a, ca, b, cb
 
-    def narrow(self, i: int, isolate: bool, p: float = math.nan) -> tuple:
-        """Bisect level i's bracket until it is eff_tol wide or, with
-        isolate, holds no eigenvalue but level i's; returns the bracket.
-        While the level's distance from p, a point outside the bracket, is not
-        known to a factor of two, each cut halves the log of that distance."""
+    def narrow(self, i: int, p: float = math.nan) -> tuple:
+        """Count until level i's bracket isolates it or is eff_tol wide; returns
+        the bracket.  While the level's distance from p (outside the bracket) is
+        not known to a factor of two, a cut halves its log; other cuts bisect."""
         for _ in range(_MAX_BISECTIONS):
             a, ca, b, cb = self.bracket(i)
             near, far = sorted((max(abs(p - a), self.eff_tol), max(abs(p - b), self.eff_tol)))
@@ -237,7 +241,7 @@ class _LevelSolver:
             elif cb is None:
                 lam = min(self.lo + self.step, self.hi)
                 self.step *= 2.0
-            elif b - a <= self.eff_tol or (isolate and ca == i and cb == i + 1):
+            elif b - a <= self.eff_tol or (ca == i and cb == i + 1):
                 return a, b
             else:
                 lam = 0.5 * (a + b)
@@ -253,20 +257,15 @@ class _LevelSolver:
         return ((a >= lam - half or self.count(lam - half) <= i)
                 and (cb is not None and b <= lam + half or i < self.count(lam + half)))
 
-    def newton(self, i: int, x: float, predicted: bool):
+    def newton(self, i: int, x: float):
         """Newton's iteration on det(T - lam I) for level i from x inside its
-        bracket, read again after every sweep; the certified level, or None.
-
-        A step that leaves the bracket or is not at most half the previous one
-        ends a predicted start, which offers every iterate to the certificate.
-        From the midpoint of an isolating bracket such a step is replaced by
-        bisection, and the iterate is offered once the step is below eff_tol/4,
-        or once the error that quadratic convergence predicts from two Newton
-        steps in a row, step^3 / previous^2, is below eff_tol/64; a failed
-        certificate or a bracket eff_tol wide ends it.
-        """
+        bracket, read again after every sweep: the certified level, or None once
+        a step leaves the bracket or exceeds half the previous one (at first,
+        the bracket's width).  An iterate is offered to the certificate once its
+        step is below eff_tol/4, or once step^3 / previous^2, the error that
+        quadratic convergence predicts, is below eff_tol/64; a failed offer iterates on."""
         a, _, b, _ = self.bracket(i)
-        last_step, newton_step = b - a, None
+        last_step = b - a
         if not 0.0 < x - a < last_step:
             return None
         for _ in range(_MAX_NEWTON_STEPS):
@@ -276,32 +275,27 @@ class _LevelSolver:
             y = x - 1.0 / slope if slope != 0.0 else math.nan
             step = abs(y - x)
             if not (a < y < b and step <= 0.5 * last_step):
-                if predicted:
-                    return None
-                y, newton_step = 0.5 * (a + b), None
-            else:
-                if predicted or step <= 0.25 * self.eff_tol or (
-                        newton_step and step**3 <= self.eff_tol * newton_step**2 / 64.0):
-                    if self.certified(i, y):
-                        return y
-                    if not predicted:
-                        return None
-                newton_step = step
-            if b - a <= self.eff_tol:
                 return None
-            last_step, x = abs(y - x), y
+            if (step <= 0.25 * self.eff_tol or step**3 <= self.eff_tol * last_step**2 / 64.0) \
+                    and self.certified(i, y):
+                return y
+            last_step, x = step, y
         return None
 
     def level(self, i: int) -> float:
-        p = self.predictions[i] if i < len(self.predictions) else math.nan
-        lam = self.newton(i, p, predicted=True)  # None at once where p is nan
-        if lam is None:
-            a, b = self.narrow(i, isolate=True, p=p)
-            lam = self.newton(i, 0.5 * (a + b), predicted=False) if b - a > self.eff_tol else None
-        if lam is None:
-            a, b = self.narrow(i, isolate=False)
-            lam = 0.5 * (a + b)
-        return lam
+        """Newton from the prediction (nan where none is given), then from the
+        midpoint of each bracket narrow isolates, whose first sweep halves it,
+        until a level is certified or the bracket is eff_tol wide."""
+        p = x = self.predictions[i] if i < len(self.predictions) else math.nan
+        for _ in range(_MAX_BISECTIONS):
+            lam = self.newton(i, x)
+            if lam is not None:
+                return lam
+            a, b = self.narrow(i, p)
+            x = 0.5 * (a + b)
+            if b - a <= self.eff_tol or not a < x < b:
+                return x
+        raise NumericError("bisection failed to shrink the eigenvalue bracket")
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> list:

@@ -44,10 +44,15 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
     on the grid; zero_mode_residual measures how well it solves V_-.
 
     Raises DomainError if the mode fails to decay at r_max (window too short
-    or non-normalizable parameters).
+    or non-normalizable parameters) or leaves the float range on the grid.
     """
     _require_qes(model, "qes_ground_state")
-    g = model.record.log_zero_mode(model, grid.points())
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = model.record.log_zero_mode(model, grid.points())
+    # a term that overflows sends log f_0 to -inf, or to nan by a zero coefficient
+    g = np.where(np.isnan(g), -np.inf, g)
+    if not math.isfinite(np.max(g)):
+        raise DomainError("zero mode leaves the float range on this grid")
     g = g - np.max(g)
     f = np.exp(g)
     if f[-1] > _DECAY_CEILING:

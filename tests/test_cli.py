@@ -495,6 +495,10 @@ def test_negative_r_min_grid_reads_with_a_space_or_an_equals_sign(capsys):
     joined = run_cli(capsys, "spectrum", "--model", "morse", "--grid=-12,40,801")
     assert spaced == joined
     assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
+    spaced = run_cli(capsys, "spectrum", "--model", "anharmonic", "--a", "-1e-05")
+    joined = run_cli(capsys, "spectrum", "--model", "anharmonic", "--a=-1e-05")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -686,3 +690,29 @@ def test_flag_space_exits_cleanly_and_deterministically(argv):
             assert e_minus == -e_plus
             assert abs(e_plus**2 - 1.0 - eps_sq) <= 8 * np.finfo(float).eps * max(e_plus**2, 1.0)
     assert _run_quietly(argv)[:3] == (code, out, err)
+
+
+#: parameters and windows whose squares, powers or spacing leave the float range
+EXTREME_MAGNITUDES = [
+    ("spectrum", "--model", "coulomb", "--kappa=1e300"),
+    ("spectrum", "--model", "coulomb", "--kappa=1e-300"),
+    ("spectrum", "--model", "coulomb", "--grid", "0.5,1e300,11"),
+    ("spectrum", "--model", "morse", "--grid", "1e-300,1e-299,11"),
+    ("spectrum", "--model", "oscillator", "--omega=1e300"),
+    ("spectrum", "--model", "oscillator", "--omega=1e307", "--method", "analytic", "--n-max", "9"),
+    ("verify", "--model", "sextic", "--grid", "0.5,1e300,11"),
+    ("verify", "--model", "sextic", "--grid", "1e160,1e161,11"),
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_MAGNITUDES, ids=" ".join)
+def test_extreme_magnitudes_exit_with_one_error_line(argv):
+    """Exit 2 or 3 with one "error:" line on stderr (for verify, in the
+    report), with no traceback or numpy warning."""
+    code, out, err, caught = _run_quietly(list(argv))
+    assert code in (2, 3) and not caught, [str(w.message) for w in caught]
+    if argv[0] == "verify":
+        assert err == "" and all(e["metric"] is None and e["detail"].startswith("error: ")
+                                 for e in json.loads(out)["entries"])
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err

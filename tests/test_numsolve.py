@@ -505,9 +505,9 @@ def test_narrow_closes_in_on_p_on_a_log_scale():
     op, p = _toy_operator([2.0, 2.0], [-1.0]), 1.001
     plain, near = numsolve._LevelSolver(op, 1e-12), numsolve._LevelSolver(op, 1e-12)
     plain.count(p)
-    assert plain.narrow(0, isolate=True) == (plain.lo, p)
+    assert plain.narrow(0) == (plain.lo, p)
     near.count(p)
-    a, b = near.narrow(0, isolate=True, p=p)
+    a, b = near.narrow(0, p)
     assert a < 1.0 < b and p - a <= 2.0 * (p - b) and len(near.counts) <= 7
 
 
@@ -526,13 +526,17 @@ def test_a_prediction_that_strays_costs_at_most_8_newton_sweeps(k, argv, monkeyp
     """Where the iteration from a prediction strays, counts close in on the
     prediction before the level is isolated, so a level takes at most 8
     Newton sweeps; isolating it by bisection of the bracket up to the
-    prediction took 20-23, and counts at a half-width around it 10-14."""
+    prediction took 20-23, and counts at a half-width around it 10-14.  An
+    iterate is offered to the certificate only once its step predicts
+    convergence, so a level also takes at most 8 counts; offering every
+    iterate from the prediction took 10-11 on the Coulomb windows."""
     op = _spectrum_operator(*argv)
     work = _count_work(monkeypatch, op)
     eigs = lowest_eigenvalues(op, k)
     ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, k - 1))
     _assert_certified_lapack_levels(op, eigs, 1e-10, ref)
     assert len(work) == k and max(sweeps for sweeps, _ in work) <= 8
+    assert max(counts for _, counts in work) <= 8
 
 
 def test_wrong_predictions_still_give_certified_levels(monkeypatch):
