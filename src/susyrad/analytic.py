@@ -97,9 +97,8 @@ def _laguerre_envelope(k_power: float, z: np.ndarray, n: int, alpha: float) -> n
     g_max = float(np.max(g))
     if not math.isfinite(g_max):
         raise DomainError("wavefunction envelope degenerate on this grid")
-    with np.errstate(over="ignore"):
-        env = np.exp(g - g_max)
-    return env * laguerre(n, alpha, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(g - g_max) * laguerre(n, alpha, z)
 
 
 def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> RadialWavefunction:
@@ -114,7 +113,8 @@ def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> Radial
     sp = superpotential_from_model(model)
     if sp.singular_coefficient != 0.0 and grid.r_min <= 0.0:
         raise DomainError(f"{model.family.value} wavefunctions require r_min > 0")
-    k_power, z, alpha = model.record.envelope(model, n, grid.points())
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_power, z, alpha = model.record.envelope(model, n, grid.points())
     return spinor_from_lower(sp, _laguerre_envelope(k_power, z, n, alpha), n, eps_sq, grid)
 
 

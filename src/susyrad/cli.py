@@ -9,7 +9,8 @@ Four subcommands::
 
 Exit codes: 0 success (verify: all checks passed), 1 verify ran but at least
 one check failed, 2 usage/configuration error, 3 runtime failure inside the
-numerics.
+numerics. resolve_config makes every exit-2 refusal, and judges the verify
+premises on the run's one closed-form zero mode, before any output.
 
 Output is deterministic byte-for-byte for a fixed invocation: CSV uses 17
 significant digits (round-trip exact for doubles) with CRLF line endings,
@@ -73,24 +74,25 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunConfig:
     """Fully-resolved invocation: model, window, level count, method, output.
 
-    The lower problem (W, the partner potentials V-+, the V- operator, its
-    lowest `levels` eigenvalues and the eigenvectors asked for) is built on
-    first use and shared by the command and every verify check, so each
-    operator is solved once per invocation.
+    The lower problem (W, V-+, the V- operator, its lowest `levels`
+    eigenvalues, the eigenvectors asked for, the closed-form zero mode) is
+    built on first use and shared by the command, the verify premises and
+    every check: one solve and one zero mode per invocation.  resolve_config
+    sets `checks` and `levels` once it has allowed every read.
     """
 
     model: ModelSpec
     grid: RadialGrid
-    n_max: int
-    n: int
-    method: str          # analytic | numeric | both
-    output_format: str   # csv | json
-    checks: tuple
-    levels: int          # V- levels the command and the checks read
+    n_max: int = 0
+    n: int = 0
+    method: str = "numeric"     # analytic | numeric | both
+    output_format: str = "csv"  # csv | json
+    checks: tuple = ()
+    levels: int = 0             # V- levels the command and the checks read
 
     @cached_property
     def superpotential(self) -> Superpotential:
@@ -107,13 +109,10 @@ class RunConfig:
     @cached_property
     def spectrum(self) -> list:
         """The lowest V- levels: one solve that every reader slices."""
-        return lowest_eigenvalues(self.operator, min(self.levels, self.operator.size))
+        return lowest_eigenvalues(self.operator, self.levels)
 
     def eigenvalues(self, k: int) -> list:
         """The k lowest V- levels."""
-        if k > len(self.spectrum):
-            raise NumericError(f"{k} levels needed, but the grid has "
-                               f"{self.operator.size} interior points")
         return self.spectrum[:k]
 
     @cached_property
@@ -130,14 +129,10 @@ class RunConfig:
 
     @cached_property
     def zero_mode(self) -> np.ndarray:
-        return zero_mode(self.model, self.grid)
-
-
-def zero_mode(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
-    """Closed-form zero mode: the QES formula, else exp(-int W)."""
-    if model.is_qes:
-        return _qes.qes_ground_state(model, grid)
-    return ground_state_from_w(superpotential_from_model(model), grid)
+        """Closed-form zero mode: the QES formula, else exp(-int W)."""
+        if self.model.is_qes:
+            return _qes.qes_ground_state(self.model, self.grid)
+        return ground_state_from_w(self.superpotential, self.grid)
 
 
 # --------------------------------------------------------------------------
@@ -240,20 +235,19 @@ CHECKS = {
                                  needs_clear_wall=True, needs_closed_form=True),
 }
 
-CANONICAL_CHECKS = tuple(CHECKS)
-
 #: the runners as a plain name -> function dict, the one table
 #: run_verification dispatches through, so a runner can be swapped by name
 _CHECK_RUNNERS = {name: check.run for name, check in CHECKS.items()}
 
 
-def default_checks(model: ModelSpec, grid: RadialGrid) -> tuple:
-    """Checks whose premises hold for this model on this window. The zero mode
-    exists when it can be built and decays by r_max (a 1/r pole in W needs
-    r_min > 0); the Dirichlet wall at r_min is clear when the zero mode there
-    is below 1e-3 of its peak."""
+def default_checks(model: ModelSpec, grid: RadialGrid, cfg: RunConfig | None = None) -> tuple:
+    """Checks whose premises hold for this model on this window, judged on
+    cfg.zero_mode, the array the checks read (a fresh RunConfig's if no cfg).
+    The zero mode exists when it can be built and decays by r_max (a 1/r pole
+    in W needs r_min > 0); the Dirichlet wall at r_min is clear when the zero
+    mode there is below 1e-3 of its peak."""
     try:
-        f0 = zero_mode(model, grid)
+        f0 = (cfg or RunConfig(model, grid)).zero_mode
         has_zero_mode, wall_clear = True, abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
     except (DomainError, NumericError):
         has_zero_mode = wall_clear = False
@@ -285,14 +279,9 @@ def run_verification(cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    model, n_max, name = cfg.model, cfg.n_max, cfg.model.family.value
+    model, n_max = cfg.model, cfg.n_max
     ana = nums = None
     if cfg.method in ("analytic", "both"):
-        if model.record.closed_form == "none":
-            raise UsageError(f"{name} models have no analytic spectrum; use --method numeric")
-        if model.is_qes and n_max >= 1:
-            raise UsageError(f"{name} has only its ground state in closed form; "
-                             "use --method numeric (or --n-max 0)")
         ana = _analytic.analytic_spectrum(model, n_max).levels
     if cfg.method in ("numeric", "both"):
         nums = spectrum_result(cfg.eigenvalues(n_max + 1), model.units, Source.NUMERIC).levels
@@ -309,14 +298,8 @@ def cmd_spectrum(cfg: RunConfig):
 
 def cmd_wavefunction(cfg: RunConfig):
     model, grid, n = cfg.model, cfg.grid, cfg.n
-    if cfg.method == "both":
-        raise UsageError("wavefunction needs --method analytic or numeric, not both")
     if cfg.method == "analytic" and model.record.closed_form != "all":
-        name = model.family.value  # only the zero mode is known in closed form
-        if n != 0:
-            raise UsageError(f"{name} has only n=0 in closed form; use --method numeric"
-                             if model.is_qes else
-                             f"{name} models only expose the n=0 zero mode analytically")
+        # only the zero mode is known in closed form
         eps_sq, f_m, f_p = 0.0, cfg.zero_mode, np.zeros_like(cfg.zero_mode)
     else:
         wf = (_analytic.analytic_wavefunctions(model, n, grid) if cfg.method == "analytic"
@@ -413,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--n-max", dest="n_max", type=int, default=None)
         s.add_argument("--method", choices=["analytic", "numeric", "both"], default=None)
         s.add_argument("--checks", type=str, default=None,
-                       help="comma-separated subset of: " + ",".join(CANONICAL_CHECKS))
+                       help="comma-separated subset of: " + ",".join(CHECKS))
         s.add_argument("--config", type=str, default=None, help="JSON config file")
         if name == "wavefunction":
             s.add_argument("--n", type=int, default=None, help="level (default 0)")
@@ -484,6 +467,7 @@ def _setting(args, file_cfg: dict, key: str, default=None, kind=None):
 
 def resolve_config(args) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    verify = args.command == "verify"
 
     family_name = _setting(args, file_cfg, "model", "oscillator")
     try:
@@ -515,7 +499,7 @@ def resolve_config(args) -> RunConfig:
             raise UsageError("--n-max must be nonnegative")
         if grid_setting is not None:
             grid = _parse_grid(grid_setting)
-        elif args.command == "verify":
+        elif verify:
             grid = default_grid(model, max(n_max, VERIFY_TOP_LEVEL))
         else:
             grid = default_grid(model, n_max)
@@ -524,23 +508,28 @@ def resolve_config(args) -> RunConfig:
 
     # closed forms cover every level only for the fully solvable families
     default_method = "both" if record.closed_form == "all" else "numeric"
+    methods = ("analytic", "numeric", "both")
     if args.command == "wavefunction":
         default_method = "numeric" if record.closed_form == "none" else "analytic"
+        methods = methods[:2]
     method = _setting(args, file_cfg, "method", default_method)
-    if method not in ("analytic", "numeric", "both"):
-        raise UsageError(f"unknown method {method!r}")
+    if method not in methods:
+        raise UsageError(f"{args.command} takes --method {'/'.join(methods)}, not {method!r}")
 
-    fmt = getattr(args, "output_format", None)
-    if fmt is None:
-        fmt = file_cfg.get("format") or "csv"
-    if args.command == "verify":
-        fmt = "json"  # the verification report is always JSON
+    # the verification report is always JSON
+    fmt = "json" if verify else args.output_format or file_cfg.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
 
+    n = _setting(args, file_cfg, "n", 0, int)
+    if n < 0:
+        raise UsageError("--n must be nonnegative")
+    cfg = RunConfig(model=model, grid=grid, n_max=n_max, n=n, method=method,
+                    output_format=fmt)
+
     checks_setting = _setting(args, file_cfg, "checks")
     if checks_setting is None:
-        checks = default_checks(model, grid) if args.command == "verify" else ()
+        names = default_checks(model, grid, cfg) if verify else ()
     else:
         names = tuple(s.strip() for s in str(checks_setting).split(",") if s.strip())
         bad = [c for c in names if c not in CHECKS]
@@ -548,36 +537,37 @@ def resolve_config(args) -> RunConfig:
             raise UsageError(f"unknown checks: {', '.join(bad)}")
         if not names:
             raise UsageError(f"--checks names no check; choose from {', '.join(CHECKS)}")
-        refused = [c for c in CHECKS if c in names and CHECKS[c].needs_closed_form]
-        if refused and record.closed_form == "none":
-            raise UsageError(f"{family.value} models cannot run {', '.join(refused)}")
-        checks = tuple(c for c in CHECKS if c in names) if args.command == "verify" else ()
+        names = tuple(c for c in CHECKS if c in names)
+    cfg.checks = names if verify else ()
 
-    # one V- solve serves every reader (the numeric spectrum, a numeric
-    # wavefunction, each check verify runs); the largest sets the level count
-    n = _setting(args, file_cfg, "n", 0, int)
-    readers = [(f"the {c} check", CHECKS[c].levels(model, n_max)) for c in checks]
-    if args.command == "spectrum" and method != "analytic":
-        readers.append((f"--n-max {n_max}", n_max + 1))
-    if args.command == "wavefunction" and method == "numeric":
-        readers.append((f"--n {n}", n + 1))
-    reader, levels = max(readers, key=lambda r: r[1], default=(None, 0))
-    if levels > grid.n_points - 2:
-        raise UsageError(f"{reader} needs {levels} levels, but the grid has "
-                         f"{grid.n_points - 2} interior points")
-    if n < 0:
-        raise UsageError("--n must be nonnegative")
-
-    # a finite tower (Morse) has no closed form above its top level
-    for flag, top, closed_form_reader in (
-            ("--n-max", n_max, (args.command == "spectrum" and method != "numeric")
-             or any(CHECKS[c].needs_closed_form for c in checks)),
-            ("--n", n, args.command == "wavefunction" and method == "analytic")):
-        if closed_form_reader and top > model.max_level:
-            raise UsageError(f"{family.value} tower ends at n={model.max_level}; lower {flag}")
-
-    return RunConfig(model=model, grid=grid, n_max=n_max, n=n, method=method,
-                     output_format=fmt, checks=checks, levels=levels)
+    # a reader: V- levels read from the one solve, top closed-form level read
+    # (-1: none); a check named to another command reads only its closed forms
+    readers = []
+    for c in names:
+        count = CHECKS[c].levels(model, n_max) if verify else 0
+        readers.append((f"the {c} check", count,
+                        max(count - 1, 0) if CHECKS[c].needs_closed_form else -1, "--n-max"))
+    if args.command == "spectrum":
+        readers.append((f"--n-max {n_max}", 0 if method == "analytic" else n_max + 1,
+                        -1 if method == "numeric" else n_max, "--n-max"))
+    if args.command == "wavefunction":
+        # exp(-int W) is every family's n = 0 state, in closed form or not
+        readers.append((f"--n {n}", n + 1 if method == "numeric" else 0,
+                        n if method == "analytic" and n else -1, "--n"))
+    # a finite tower knows its levels up to its top, a QES family its zero mode
+    known = {"all": model.max_level, "ground": 0, "none": -1}[record.closed_form]
+    for reader, count, top, flag in sorted(readers, key=lambda r: -r[1]):
+        if count > grid.n_points - 2:
+            raise UsageError(f"{reader} needs {count} levels, but the grid has "
+                             f"{grid.n_points - 2} interior points")
+        if top > known:
+            what = "only its ground state" if known == 0 else "no level"
+            raise UsageError(f"{family.value} tower ends at n={known}; lower {flag}"
+                             if record.closed_form == "all" else
+                             f"{family.value} has {what} in closed form, but {reader} "
+                             f"reads levels to n={top}; the rest are numeric only")
+    cfg.levels = max((count for _, count, _, _ in readers), default=0)
+    return cfg
 
 
 # --------------------------------------------------------------------------

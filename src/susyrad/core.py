@@ -179,9 +179,11 @@ def _morse_w(m: "ModelSpec") -> Superpotential:
     return Superpotential(w, lambda r: a * alpha * np.exp(-alpha * r), 0.0, w)
 
 
-def _morse_top(m: "ModelSpec") -> int:
-    """Largest n with b - alpha n > 0 (the Morse tower is finite)."""
-    return max(0, math.ceil(m.params["b"] / m.params["alpha"] - 1e-12) - 1)
+def _morse_top(m: "ModelSpec") -> float:
+    """Largest n with b - alpha n > 0 (the Morse tower is finite); inf when
+    b / alpha is beyond the float range."""
+    ratio = m.params["b"] / m.params["alpha"]
+    return max(0, math.ceil(ratio - 1e-12) - 1) if math.isfinite(ratio) else math.inf
 
 
 def _morse_epsilon_sq(m: "ModelSpec", n: int) -> float:

@@ -90,12 +90,16 @@ def ground_state_from_w(sp: Superpotential, grid: RadialGrid) -> np.ndarray:
 
     The 1/r part of W is integrated in closed form (a power-law prefactor);
     the regular remainder goes through cumulative Simpson quadrature, which
-    is exact for the polynomial superpotentials.  Raises DomainError when the
-    result fails to decay at r_max (non-normalizable zero mode on this
-    window, e.g. a sign-flipped W).
+    is exact for the polynomial superpotentials.  Raises DomainError when
+    int W leaves the float range on the grid, or when the result fails to
+    decay at r_max (non-normalizable zero mode on this window, e.g. a
+    sign-flipped W).
     """
     r = grid.points()
-    exponent = -cumulative_quadrature(_sample(sp.w_regular, r), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -cumulative_quadrature(_sample(sp.w_regular, r), grid)
+    if not np.all(np.isfinite(exponent)):
+        raise DomainError("exp(-int W) leaves the float range on this grid")
     c = sp.singular_coefficient
     if c != 0.0:
         if grid.r_min <= 0.0:

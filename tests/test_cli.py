@@ -27,7 +27,7 @@ from susyrad import (
     oscillator_model,
     sextic_model,
 )
-from susyrad import numsolve
+from susyrad import numsolve, qes, superpot
 from susyrad.core import FAMILIES
 
 
@@ -263,7 +263,7 @@ def test_verify_oscillator_runs_all_five_checks(capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     names = [e["check"] for e in doc["entries"]]
-    assert names == list(cli.CANONICAL_CHECKS)
+    assert names == list(cli.CHECKS)
     for entry in doc["entries"]:
         assert entry["status"] == "pass"
         assert entry["metric"] < entry["tolerance"]
@@ -415,6 +415,32 @@ def test_infrastructure_failure_names_the_exception_type(capsys, monkeypatch):
     assert entry["detail"] == "error: ZeroDivisionError: float division by zero"
 
 
+@pytest.mark.parametrize("family", [f.value for f in Family])
+def test_default_verify_builds_the_zero_mode_once(capsys, monkeypatch, tmp_path, family):
+    """The verify premises and the checks read one closed-form zero mode."""
+    builds = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qes, "qes_ground_state", counted(qes.qes_ground_state))
+    for module in (cli, superpot):
+        monkeypatch.setattr(module, "ground_state_from_w", counted(superpot.ground_state_from_w))
+    argv = ["verify", "--model", family]
+    if family == "custom":
+        cfgfile = tmp_path / "w.json"
+        r = np.linspace(0.0, 6.0, 601)
+        cfgfile.write_text(json.dumps({"grid": "0,6,601", "w_samples": list(1.0 + r + r * r),
+                                       "w_prime_samples": list(1.0 + 2.0 * r)}))
+        argv += ["--config", str(cfgfile)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "ground_residual" in out
+    assert len(builds) == 1, builds
+
+
 @pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
 def test_default_verify_solves_each_operator_once(capsys, monkeypatch, family):
     """One V- solve serves the command and every check, eigenvectors are
@@ -544,9 +570,20 @@ def _custom_config(w_samples):
     (("verify", "--model", "morse", "--n-max", "5"), None),
     (("wavefunction", "--model", "morse", "--n", "3"), None),
     (("verify", "--checks", ","), None),
+    (("spectrum", "--model", "anharmonic", "--method", "analytic", "--n-max", "1"), None),
+    (("spectrum", "--model", "morse", "--method", "analytic", "--n-max", "5"), None),
+    (("spectrum", "--method", "analytic"), _custom_config([1.0] * 5)),
+    (("wavefunction", "--method", "both"), None),
+    (("wavefunction", "--model", "sextic", "--n", "1"), None),
+    (("wavefunction", "--method", "analytic", "--n", "1"), _custom_config([1.0] * 5)),
+    (("verify", "--checks", "analytic_vs_numeric", "--n-max", "1"), _custom_config([1.0] * 5)),
+    (("spectrum", "--checks", "analytic_vs_numeric"), _custom_config([1.0] * 5)),
 ], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid",
         "custom-w-text", "custom-w-scalar", "checks-beyond-grid", "verify-beyond-tower",
-        "wavefunction-beyond-tower", "no-checks"])
+        "wavefunction-beyond-tower", "no-checks", "qes-analytic-spectrum-above-ground",
+        "spectrum-beyond-tower", "custom-analytic-spectrum", "wavefunction-method-both",
+        "qes-analytic-wavefunction-above-ground", "custom-analytic-wavefunction-above-ground",
+        "custom-verify-closed-form-check", "custom-spectrum-closed-form-check"])
 def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
         cfgfile = tmp_path / "cfg.json"
@@ -702,6 +739,10 @@ EXTREME_MAGNITUDES = [
     ("spectrum", "--model", "oscillator", "--omega=1e307", "--method", "analytic", "--n-max", "9"),
     ("verify", "--model", "sextic", "--grid", "0.5,1e300,11"),
     ("verify", "--model", "sextic", "--grid", "1e160,1e161,11"),
+    ("wavefunction", "--method", "analytic", "--model", "morse", "--grid", "-1000,10,11",
+     "--n", "2"),
+    ("wavefunction", "--method", "analytic", "--model", "coulomb", "--grid",
+     "1e-300,1e300,11", "--n", "3"),
 ]
 
 
@@ -715,4 +756,35 @@ def test_extreme_magnitudes_exit_with_one_error_line(argv):
         assert err == "" and all(e["metric"] is None and e["detail"].startswith("error: ")
                                  for e in json.loads(out)["entries"])
     else:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("wavefunction", "--method", "analytic", "--model", "oscillator", "--grid", "0.5,1e300,11"),
+    ("wavefunction", "--method", "analytic", "--model", "coulomb", "--grid", "0.5,1e308,11"),
+    ("wavefunction", "--method", "analytic", "--model", "morse", "--grid", "-1000,10,11"),
+], ids=" ".join)
+def test_closed_form_envelope_beyond_the_float_range_prints_quietly(argv):
+    """An envelope that overflows far out on the window underflows to zero
+    once peak-shifted: the state prints, with nothing on stderr."""
+    code, out, err, caught = _run_quietly(list(argv))
+    assert code == 0 and out and err == "" and not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", [("spectrum", "--method", "analytic"), ("spectrum",),
+                                     ("verify",), ("wavefunction",), ("partner",)],
+                         ids=" ".join)
+def test_morse_ratio_beyond_the_float_range_has_no_finite_top(command):
+    """b / alpha overflows: the tower has no finite top, the closed-form levels
+    still print, and what cannot be computed is one "error:" line (for verify,
+    in the report), with no traceback or numpy warning."""
+    argv = [*command, "--model", "morse", "--b=1e200", "--alpha=1e-200"]
+    code, out, err, caught = _run_quietly(argv)
+    assert code in (0, 2, 3) and not caught, [str(w.message) for w in caught]
+    if command == ("spectrum", "--method", "analytic"):
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) == 5
+    elif command == ("verify",):
+        assert err == "" and all(e["metric"] is None and e["detail"].startswith("error: ")
+                                 for e in json.loads(out)["entries"])
+    elif code:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err

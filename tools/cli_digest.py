@@ -1,0 +1,165 @@
+"""Digest a fixed battery of CLI invocations, one line each.
+
+Usage::
+
+    python tools/cli_digest.py SRC_DIR > digest.txt
+
+Imports ``susyrad`` from SRC_DIR (put first on ``sys.path``), runs every
+invocation of the battery in-process through ``susyrad.cli.main`` and prints
+
+    argv | exit | sha256(stdout)[:16] | stderr
+
+A numpy warning is appended to the stderr column as ``warning: <message>``;
+an exception that escapes ``main`` is printed as exit ``traceback`` with its
+type and message.  Diffing the digests of two source trees lists every
+invocation whose stdout bytes, exit code or message moved.  The battery
+covers every family (a custom model from a generated config included),
+every subcommand x method x format, several ``--n`` / ``--n-max`` values and
+``--checks`` subsets, small and negative grids, refusals and parameters or
+windows at the edge of the float range.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+
+#: every built-in family with a small explicit window for it
+SMALL_GRIDS = {
+    "oscillator": "0.01,6,201",
+    "coulomb": "0.01,30,301",
+    "morse": "-4,10,201",
+    "anharmonic": "0,5,201",
+    "sextic": "0.01,4,201",
+    "deformed-coulomb": "0.001,12,301",
+}
+
+#: grids too short for the levels most readers ask for, or crossing r = 0
+EDGE_GRIDS = ("0.001,1,5", "-1,5,101", "0,5,101", "0.5,3,3")
+
+CHECK_SUBSETS = ("isospectral", "intertwine", "orthonormal", "ground_residual",
+                 "analytic_vs_numeric", "orthonormal,intertwine",
+                 "isospectral,analytic_vs_numeric")
+
+#: parameters or windows at the edge of the float range, and refusals
+EXTREME = (
+    ("spectrum", "--model", "coulomb", "--kappa=1e300"),
+    ("spectrum", "--model", "coulomb", "--kappa=1e-300"),
+    ("spectrum", "--model", "coulomb", "--grid", "0.5,1e300,11"),
+    ("spectrum", "--model", "morse", "--grid", "1e-300,1e-299,11"),
+    ("spectrum", "--model", "oscillator", "--omega=1e300"),
+    ("spectrum", "--model", "oscillator", "--omega=1e307", "--method", "analytic",
+     "--n-max", "9"),
+    ("verify", "--model", "sextic", "--grid", "0.5,1e300,11"),
+    ("verify", "--model", "sextic", "--grid", "1e160,1e161,11"),
+    ("spectrum", "--model", "morse", "--b=1e200", "--alpha=1e-200", "--method", "analytic"),
+    ("spectrum", "--model", "morse", "--b=1e200", "--alpha=1e-200"),
+    ("verify", "--model", "morse", "--b=1e200", "--alpha=1e-200"),
+    ("wavefunction", "--model", "morse", "--b=1e200", "--alpha=1e-200"),
+    ("partner", "--model", "morse", "--b=1e200", "--alpha=1e-200"),
+    ("wavefunction", "--method", "analytic", "--model", "oscillator", "--grid", "0.5,1e300,11"),
+    ("wavefunction", "--method", "analytic", "--model", "coulomb", "--grid", "0.5,1e308,11"),
+    ("wavefunction", "--method", "analytic", "--model", "morse", "--grid", "-1000,10,11"),
+    ("wavefunction", "--method", "analytic", "--model", "morse", "--grid", "-1000,10,11",
+     "--n", "2"),
+    ("wavefunction", "--method", "analytic", "--model", "coulomb", "--grid",
+     "1e-300,1e300,11", "--n", "3"),
+    ("spectrum", "--model", "anharmonic", "--method", "analytic", "--n-max", "1"),
+    ("spectrum", "--model", "morse", "--method", "analytic", "--n-max", "5"),
+    ("wavefunction", "--method", "both"),
+    ("wavefunction", "--model", "sextic", "--n", "1"),
+    ("wavefunction", "--model", "morse", "--n", "3"),
+    ("verify", "--model", "morse", "--n-max", "5"),
+    ("verify", "--checks", ","),
+    ("verify", "--checks", "bogus"),
+    ("spectrum", "--n-max", "-1"),
+    ("wavefunction", "--n", "-1"),
+    ("spectrum", "--grid", "1,2"),
+    ("spectrum", "--model", "anharmonic", "--a", "-1e-05"),
+    ("verify", "--model", "anharmonic", "--a", "-8"),
+    ("spectrum", "--config", "no-such-config.json"),
+)
+
+
+def battery(custom: str, bad_custom: str) -> list:
+    """Every invocation, in a fixed order; `custom` and `bad_custom` are the
+    paths of a tabulated-W config and of one whose samples are text."""
+    runs = []
+    families = [("--model", f) for f in SMALL_GRIDS] + [("--config", custom)]
+    for model in families:
+        small = SMALL_GRIDS.get(model[1])
+        grids = [small, *EDGE_GRIDS] if small else [None, "0.001,1,5"]
+        for grid in grids:
+            where = [*model] + (["--grid", grid] if grid else [])
+            for fmt in ("csv", "json"):
+                for method in (None, "analytic", "numeric", "both"):
+                    how = ["--format", fmt] + (["--method", method] if method else [])
+                    for n_max in (None, "0", "2", "5"):
+                        runs.append(["spectrum", *where, *how]
+                                    + (["--n-max", n_max] if n_max else []))
+                    for n in (None, "1", "3"):
+                        runs.append(["wavefunction", *where, *how] + (["--n", n] if n else []))
+                runs.append(["partner", *where, "--format", fmt])
+            for n_max in (None, "1", "5"):
+                runs.append(["verify", *where] + (["--n-max", n_max] if n_max else []))
+            for checks in CHECK_SUBSETS:
+                runs.append(["verify", *where, "--checks", checks])
+            runs.append(["spectrum", *where, "--checks", "analytic_vs_numeric"])
+    # the default window of every built-in family
+    for family in SMALL_GRIDS:
+        runs.append(["spectrum", "--model", family])
+        runs.append(["wavefunction", "--model", family, "--format", "json"])
+        runs.append(["verify", "--model", family])
+    runs.append(["verify", "--model", "coulomb", "--ell", "1", "--n-max", "6"])
+    runs.append(["spectrum", "--config", bad_custom])
+    runs.extend(list(argv) for argv in EXTREME)
+    return runs
+
+
+def run(cli, argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a traceback, which main never owes
+                code = "traceback"
+                err.write(f"{type(exc).__name__}: {exc}\n")
+    text = err.getvalue() + "".join(f"warning: {w.message}\n" for w in caught)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], text
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not os.path.isdir(args[0]):
+        print("usage: cli_digest.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(args[0]))
+    from susyrad import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        custom, bad_custom = os.path.join(tmp, "custom.json"), os.path.join(tmp, "bad.json")
+        r = [6.0 * i / 600 for i in range(601)]
+        with open(custom, "w", encoding="utf-8") as fh:
+            json.dump({"model": "custom", "grid": "0,6,601",
+                       "w_samples": [1.0 + x + x * x for x in r],
+                       "w_prime_samples": [1.0 + 2.0 * x for x in r]}, fh)
+        with open(bad_custom, "w", encoding="utf-8") as fh:
+            json.dump({"model": "custom", "grid": [0, 6, 5],
+                       "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5}, fh)
+        for argv_ in battery(custom, bad_custom):
+            code, digest, err = run(cli, argv_)
+            shown = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_)
+            print(f"{shown} | {code} | {digest} | {err.rstrip(chr(10)).replace(chr(10), ' / ')}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
