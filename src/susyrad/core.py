@@ -204,7 +204,9 @@ def _morse_envelope(m: "ModelSpec", n: int, r: np.ndarray) -> tuple:
 def _morse_window(m: "ModelSpec", n_max: int) -> RadialGrid:
     alpha = m.params["alpha"]
     k_min = m.params["b"] / alpha - min(n_max, _morse_top(m))
-    return RadialGrid(-10.0 / alpha, (10.0 + 25.0 / k_min) / alpha, 8001)
+    # the top level's tail decays like exp(-alpha k_min r); ten e-folds of it
+    # leave a negligible shift from the Dirichlet wall at r_max
+    return RadialGrid(-10.0 / alpha, (15.0 + 10.0 / k_min) / alpha, 8001)
 
 
 def _anharmonic_w(m: "ModelSpec") -> Superpotential:

@@ -14,8 +14,8 @@ would give.  A count stops early once the rows left are diagonally dominant
 enough at lam that none of their pivots can turn negative.  A Newton sweep
 takes the same exit test and then sweeps on as deep again past the row where
 that dominance sets in, so that its leading minor's level lies within Newton's
-own error of the operator's.  An eigenvector takes one forward and one
-backward pivot sweep at its level.
+own error of the operator's.  An eigenvector takes one backward pivot sweep
+at its level and one forward sweep, which stops where the count would.
 
 On an odd uniform grid, Newton's iteration starts from a nested-grid
 prediction, with no count taken first: the same operator on every other grid
@@ -26,7 +26,11 @@ close in on the prediction on a log scale and isolate the level, as they do
 with no prediction (an even grid, an off-diagonal other than -1/h^2, a coarse
 operator below _COARSE_MIN_ROWS rows, a failed coarse solve), and the same
 iteration starts again from the bracket's midpoint, until the eff_tol/2
-certificate holds or the bracket is eff_tol wide.
+certificate holds or the bracket is eff_tol wide.  Only the levels a caller
+reads are certified: a coarse level with a prediction is Newton's iteration
+alone, guarded by each sweep's own count.  isospectral_check starts V+ level
+i from V- level i+1, with no coarse chain, and certifies it on the V+
+operator.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -297,6 +301,24 @@ class _LevelSolver:
                 return x
         raise NumericError("bisection failed to shrink the eigenvalue bracket")
 
+    def predicted(self, i: int) -> float:
+        """Level i as Newton's iteration from its prediction with no count
+        taken, uncertified, for levels that only seed a finer grid's: each
+        sweep's own count must be i or i + 1 and each step at most half the
+        previous one, until a step is at most eff_tol.  Where there is no
+        prediction or a guard fails, the certified level(i)."""
+        x, last_step = self.predictions[i] if i < len(self.predictions) else math.nan, math.inf
+        while math.isfinite(x):
+            c, slope = _newton_sweep(self.op, x)
+            self.counts.append((x, c))
+            step = abs(1.0 / slope) if slope != 0.0 else math.nan
+            if c not in (i, i + 1) or not step <= 0.5 * last_step:
+                break
+            x, last_step = x - 1.0 / slope, step
+            if step <= self.eff_tol:
+                return x
+        return self.level(i)
+
 
 def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> list:
     """The k smallest eigenvalues, each within eff_tol/2 of the exact one.
@@ -315,7 +337,8 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
         raise ValueError(f"k must be in 1..{n}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _levels_and_coarse_levels(op, k, tol)[0]
+    solver = _LevelSolver(op, tol, _predictions(op, k, tol)[0])
+    return [solver.level(i) for i in range(k)]
 
 
 def _coarsened(op: TridiagonalOperator):
@@ -333,40 +356,70 @@ def _coarsened(op: TridiagonalOperator):
                                off=np.full(coarse.n_points - 3, -1.0 / coarse.h**2), grid=coarse)
 
 
-def _levels_and_coarse_levels(op: TridiagonalOperator, k: int, tol: float) -> tuple:
-    """The k lowest levels of op, and those of its coarse operator ([] where
-    there is none or its solve failed).
+def _predictions(op: TridiagonalOperator, k: int, tol: float) -> tuple:
+    """Predictions of op's k lowest levels, and the coarse levels they come
+    from ([] where there is no coarse operator or its solve failed).
 
-    Level i starts from the Richardson prediction c1 + (c1 - c2)/4 of the h^2
-    expansion, where c1 and c2 are level i on the grids with 2h and 4h, or
-    from c1 where the 4h grid has no level i.  The coarse solves take
-    min(k, size) levels whatever k is, so the prediction for level i, and
-    with it level i, do not depend on k.
+    Level i is predicted as c1 + (c1 - c2)/4, the Richardson value of the h^2
+    expansion, where c1 and c2 are level i on the grids with 2h and 4h, or as
+    c1 where the 4h grid has no level i.  The coarse levels are predictions
+    too (_LevelSolver.predicted), certified only at the chain's bottom.  The
+    coarse solves take min(k, size) levels whatever k is, so the prediction
+    for level i, and with it level i, do not depend on k.
     """
     coarse = _coarsened(op)
-    c1s = c2s = []
-    if coarse is not None:
-        try:
-            c1s, c2s = _levels_and_coarse_levels(coarse, min(k, coarse.size),
-                                                 max(tol, _COARSE_TOL))
-        except NumericError:
-            pass  # no prediction: the solve below works without one
-    del coarse  # a coarse operator does not outlive its solve
-    predictions = [c1 + 0.25 * (c1 - c2) for c1, c2 in zip(c1s, c2s)] + c1s[len(c2s):]
-    solver = _LevelSolver(op, tol, predictions)
-    return [solver.level(i) for i in range(k)], c1s
+    if coarse is None:
+        return [], []
+    k, tol = min(k, coarse.size), max(tol, _COARSE_TOL)
+    try:
+        predictions, c2s = _predictions(coarse, k, tol)
+        solver = _LevelSolver(coarse, tol, predictions)
+        c1s = [solver.predicted(i) for i in range(k)]
+    except NumericError:
+        return [], []  # no prediction: the solve works without one
+    return [c1 + 0.25 * (c1 - c2) for c1, c2 in zip(c1s, c2s)] + c1s[len(c2s):], c1s
 
 
-def _pivots(rows, e2_rows, lam: float, pivmin: float) -> np.ndarray:
-    """LDL^T pivots of (T - lam I) down the given rows; a pivot smaller in
-    magnitude than pivmin is replaced by -pivmin, as in sturm_count."""
-    out, q = [], math.inf
-    for di, e2 in zip(rows, e2_rows):
+def _pivots(rows, lam: float, pivmin: float, q: float = math.inf):
+    """LDL^T pivots of (T - lam I) down the given (d_i, e_{i-1}^2) rows, after
+    the pivot q; a pivot smaller in magnitude than pivmin is replaced by
+    -pivmin, as in sturm_count.  A generator, read by np.fromiter."""
+    for di, e2 in rows:
         q = di - lam - e2 / q
         if -pivmin < q < pivmin:
             q = -pivmin
-        out.append(q)
-    return np.array(out)
+        yield q
+
+
+def _forward_pivots(op: TridiagonalOperator, lam: float, minus: np.ndarray) -> np.ndarray:
+    """The forward pivots D+ of (T - lam I) down to the row past which no
+    twist can lie, given the backward pivots D-.
+
+    Past sturm_count's exit row m, every forward pivot is at least |e_j| and,
+    since each later row is Gershgorin-safe, so is every backward one; then
+    gamma_j = d_j - lam - e_{j-1}^2/D+_{j-1} - e_j^2/D-_{j+1} is at least
+    d_j - |e_{j-1}| - |e_j| - lam >= safe[m] - lam.  As computed, with rounding,
+    it is at least safe[m] - lam - slack, slack = 16 eps (max|d| + 2 max|e| +
+    |lam|).  So the sweep stops at such a row m once safe[m] - lam - slack
+    exceeds the least |gamma| of the rows before it: the twist, the first
+    least |gamma|, lies before m, and the vector reads no pivot past it.
+    """
+    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
+    slack = 16.0 * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(e_abs)) + abs(lam))
+    tail = int(np.searchsorted(safe, lam + slack))
+    rows, n, base = zip(d, e2_all), len(d), op.diag - lam
+    plus, q, m, least, seen, block = np.empty(n), math.inf, 0, math.inf, 0, max(tail, 1)
+    while m < n:
+        b = min(block, n - m)
+        plus[m:m + b] = np.fromiter(_pivots(islice(rows, b), lam, pivmin, q), float, b)
+        m, q, block = m + b, float(plus[m + b - 1]), _EXIT_TEST_ROWS
+        if m < n and q >= e_abs[m]:  # sturm_count stops here
+            with np.errstate(over="ignore", invalid="ignore"):
+                gamma = plus[seen:m] + minus[seen:m] - base[seen:m]
+            least, seen = float(np.min(np.abs(gamma), initial=least)), m
+            if safe[m] - lam - slack > least:
+                break
+    return plus[:m]
 
 
 def _matvec(op: TridiagonalOperator, x):
@@ -381,12 +434,10 @@ def _first_extremum_sign(v: np.ndarray) -> float:
     amax = np.max(np.abs(v))
     if amax == 0.0:
         return 1.0
-    floor = 1e-6 * amax
-    for i in range(1, len(v) - 1):
-        if abs(v[i]) < floor:
-            continue
-        if (v[i] - v[i - 1]) * (v[i + 1] - v[i]) <= 0.0:
-            return 1.0 if v[i] > 0 else -1.0
+    inner = v[1:-1]
+    turns = np.flatnonzero((np.abs(inner) >= 1e-6 * amax) & ((inner - v[:-2]) * (v[2:] - inner) <= 0.0))
+    if turns.size:
+        return 1.0 if inner[turns[0]] > 0 else -1.0
     peak = int(np.argmax(np.abs(v)))
     return 1.0 if v[peak] >= 0 else -1.0
 
@@ -413,10 +464,12 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
     shift = lam
     for retry in (False, True):
-        plus = _pivots(d, e2_all, shift, pivmin)
-        minus = _pivots(reversed(d), chain([0.0], reversed(e2_all)), shift, pivmin)[::-1]
+        backward = zip(reversed(d), chain([0.0], reversed(e2_all)))
+        minus = np.fromiter(_pivots(backward, shift, pivmin), float, op.size)[::-1]
+        plus = _forward_pivots(op, shift, minus)
+        m = len(plus)
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma = plus + minus - (op.diag - shift)
+            gamma = plus + minus[:m] - (op.diag[:m] - shift)
             r = int(np.argmin(np.abs(gamma)))
             z = np.ones(op.size)
             z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
@@ -494,6 +547,10 @@ def cumulative_quadrature(f_samples, grid: RadialGrid) -> np.ndarray:
 
 def isospectral_check(eigs_minus, v_plus, grid: RadialGrid) -> list:
     """The partner-spectrum shift: V+ level i minus V- level i+1, for each
-    of the len(eigs_minus) - 1 pairs, with V+ solved here."""
-    eigs_plus = lowest_eigenvalues(discretize(v_plus, grid), len(eigs_minus) - 1)
-    return [p - m for p, m in zip(eigs_plus, eigs_minus[1:])]
+    of the len(eigs_minus) - 1 pairs.  V+ level i is solved here from V-
+    level i+1 as its prediction, and still carries its own certificate on
+    the V+ operator, so the check does not take the V- levels on trust."""
+    if len(eigs_minus) < 2:
+        raise ValueError("isospectral_check needs at least two V- levels")
+    solver = _LevelSolver(discretize(v_plus, grid), 1e-10, eigs_minus[1:])
+    return [solver.level(i) - m for i, m in enumerate(eigs_minus[1:])]

@@ -1,12 +1,11 @@
 """Acceptance gate: one test per advertised guarantee, at the stated tolerance.
 
-Run with -v to get one pass/fail line per guarantee. Three tests are expected
-failures (strict xfail). Two pin the inner Dirichlet wall at r_min = 1e-3, so
+Run with -v to get one pass/fail line per guarantee. Two tests are expected
+failures (strict xfail). They pin the inner Dirichlet wall at r_min = 1e-3, so
 every level shifts by roughly |u'(r_min)|^2 * r_min, which exceeds the stated
 tolerance no matter how fine the grid is. The companion diagnostic shows the
 identical setups pass once the wall moves inward to 1e-4, isolating the defect
-to wall placement rather than the solver. The third is default verify on a
-Morse point whose top level lies just below threshold (see VERIFY_POINTS).
+to wall placement rather than the solver.
 """
 
 import json
@@ -310,15 +309,7 @@ VERIFY_POINTS = [
     ("coulomb", "--kappa", "0.5", "--ell", "2"),
     ("morse", "--a", "2.5", "--alpha", "1.2", "--b", "2.5"),
     ("morse", "--a", "3.5", "--alpha", "0.8", "--b", "3.5"),
-    pytest.param(
-        ("morse", "--a", "3.126", "--alpha", "0.826", "--b", "2.513"),
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the top level n = 3 lies 1.2e-3 below the b^2 threshold, so its "
-            "state spreads over a long window whose O(h^2) error exceeds the budgets: "
-            "isospectral 5.5e-3 against 2e-3, analytic_vs_numeric 2.6e-3 "
-            "against 1e-3"),
-    ),
+    ("morse", "--a", "3.126", "--alpha", "0.826", "--b", "2.513"),
     ("anharmonic", "--a", "0.5", "--omega-t", "0.5", "--b", "0.5"),
     ("anharmonic", "--a", "1.5", "--omega-t", "1.5", "--b", "1.5"),
     ("sextic", "--omega-t", "0.5", "--b", "0.5"),

@@ -255,6 +255,50 @@ def test_isospectral_check_needs_a_pair():
         isospectral_check([0.0], np.zeros(11), grid)
 
 
+def _partner_solve(family, monkeypatch):
+    """The V+ operator of a family's default window, the V+ levels 0-2 that
+    isospectral_check solves on it from V- levels 1-3, as verify reads
+    them, and [Newton sweeps, Sturm counts] per V+ level."""
+    cfg = resolve_config(build_parser().parse_args(
+        ["spectrum", "--model", family, "--method", "numeric", "--n-max", "3"]))
+    eigs_minus = cfg.eigenvalues(4)
+    op = discretize(cfg.partners.v_plus, cfg.grid)
+    monkeypatch.setattr(numsolve, "discretize", lambda v, grid: op)
+    work = _count_work(monkeypatch, op)
+    levels, level = [], numsolve._LevelSolver.level
+    monkeypatch.setattr(numsolve._LevelSolver, "level",
+                        lambda solver, i: levels.append(level(solver, i)) or levels[-1])
+    isospectral_check(eigs_minus, cfg.partners.v_plus, cfg.grid)
+    return op, levels, work
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
+def test_partner_levels_carry_their_certificate_on_the_partner_operator(family, monkeypatch):
+    """V+ levels start from the V- levels, yet each is LAPACK's on the V+
+    operator and passes its own two-count certificate there, also on the QES
+    defaults, where the V- levels miss the V+ ones by units."""
+    op, levels, _ = _partner_solve(family, monkeypatch)
+    ref = eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2))
+    assert len(levels) == 3
+    _assert_certified_lapack_levels(op, levels, 1e-10, ref)
+
+
+@pytest.mark.parametrize("family", ["oscillator", "coulomb", "morse"])
+def test_partner_levels_from_v_minus_take_at_most_2_newton_sweeps_and_4_counts(family, monkeypatch):
+    """On the defaults where verify runs isospectral, a V+ level takes one
+    Newton sweep from V- level i+1 and the two certificate counts, or one
+    more round of both.  V- level i+1 misses V+ level i by the partners'
+    O(h^2) difference e, and a step from it leaves about
+    e^2 |sum_j 1/(lam_i - lam_j)|.  On the oscillator default e is
+    (i+1) 2e-5, so that is 0.8-8.5 eff_tol, beyond the eff_tol/2
+    certificate, and every level takes the second round.  Solving V+ with
+    its own coarse chain took 25 sweeps and 32 counts for the three
+    oscillator levels."""
+    _, _, work = _partner_solve(family, monkeypatch)
+    assert len(work) == 3
+    assert max(sweeps for sweeps, _ in work) <= 2 and max(counts for _, counts in work) <= 4
+
+
 def test_oscillator_levels_second_order_in_h():
     """Error against eps^2 = 4n at fixed window, three h-halvings.
 
@@ -494,6 +538,43 @@ def test_levels_next_to_the_chain_bottom_start_from_the_2h_level(monkeypatch):
     work = _count_work(monkeypatch, op)
     lowest_eigenvalues(op, 10)
     assert len(work) == 10 and max(sweeps for sweeps, _ in work) <= 3
+
+
+@pytest.mark.parametrize("argv", PREDICTED_WINDOWS, ids=" ".join)
+def test_predicted_coarse_levels_take_no_count(argv, monkeypatch):
+    """A coarse level with a prediction is Newton's iteration alone; counts
+    go to certified levels only: the fine ones, those at the chain's bottom,
+    which have no prediction, and a predicted level whose guards fail.  That
+    happens only on the Coulomb windows, to at most levels 0 and 1 of the
+    999-row operator: on the default window their 2h prediction from the
+    chain's bottom is 0.09 and 0.007 off."""
+    op = _spectrum_operator(*argv)
+    taken, fell_back, per_level = [0], [False], []
+    count, level, predicted = (numsolve.sturm_count, numsolve._LevelSolver.level,
+                               numsolve._LevelSolver.predicted)
+
+    def counted_count(count_op, lam):
+        taken[0] += 1
+        return count(count_op, lam)
+
+    def flagged_level(solver, i):
+        fell_back[0] = True
+        return level(solver, i)
+
+    def counted_predicted(solver, i):
+        before, fell_back[0] = taken[0], False
+        lam = predicted(solver, i)
+        if i < len(solver.predictions):
+            per_level.append((taken[0] - before, fell_back[0]))
+        return lam
+
+    monkeypatch.setattr(numsolve, "sturm_count", counted_count)
+    monkeypatch.setattr(numsolve._LevelSolver, "level", flagged_level)
+    monkeypatch.setattr(numsolve._LevelSolver, "predicted", counted_predicted)
+    lowest_eigenvalues(op, 10)
+    assert len(per_level) >= 20
+    assert all(counts == 0 for counts, fell in per_level if not fell)
+    assert sum(fell for _, fell in per_level) <= (2 if "coulomb" in argv else 0)
 
 
 def test_narrow_closes_in_on_p_on_a_log_scale():
@@ -755,3 +836,64 @@ def test_twisted_eigenvector_matches_lapack_on_the_default_operators(family):
     cfg = resolve_config(build_parser().parse_args(
         ["spectrum", "--model", family, "--method", "numeric", "--n-max", "4"]))
     _check_against_lapack(cfg.operator, 5)
+
+
+def _loop_first_extremum_sign(v):
+    """Reference: the sign of the first interior local extremum above
+    1e-6 max|v|, found by a loop, else of the largest sample."""
+    amax = np.max(np.abs(v))
+    if amax == 0.0:
+        return 1.0
+    floor = 1e-6 * amax
+    for i in range(1, len(v) - 1):
+        if abs(v[i]) < floor:
+            continue
+        if (v[i] - v[i - 1]) * (v[i + 1] - v[i]) <= 0.0:
+            return 1.0 if v[i] > 0 else -1.0
+    return 1.0 if v[int(np.argmax(np.abs(v)))] >= 0 else -1.0
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, 1.0, -1.0, 2.0]),
+                          st.floats(-10.0, 10.0)), min_size=1, max_size=40))
+def test_first_extremum_sign_is_the_loops(values):
+    v = np.array(values)
+    assert numsolve._first_extremum_sign(v) == _loop_first_extremum_sign(v)
+
+
+def _full_sweep_eigenvector(op, lam):
+    """eigenvector with no row Gershgorin-safe, so that its forward pivots
+    run down every row: the full-sweep reference."""
+    d, e2, e_abs, pivmin, safe = op._sweep_rows
+    op.__dict__["_sweep_rows"] = (d, e2, e_abs, pivmin, np.full(op.size, -np.inf))
+    try:
+        return eigenvector(op, lam)
+    finally:
+        op.__dict__["_sweep_rows"] = (d, e2, e_abs, pivmin, safe)
+
+
+#: every built-in default, the scan's 16 001-point windows and the
+#: acceptance tests' pinned windows
+EIGENVECTOR_WINDOWS = PREDICTED_WINDOWS + [
+    ("--model", "oscillator", "--grid", "0.001,12,2401"),
+    ("--model", "oscillator", "--grid", "0.001,12,2402"),
+    ("--model", "coulomb", "--grid", "0.001,250,12001"),
+]
+
+
+@pytest.mark.parametrize("argv", EIGENVECTOR_WINDOWS, ids=" ".join)
+def test_eigenvector_stopping_its_forward_sweep_is_bit_identical(argv):
+    op = _spectrum_operator(*argv)
+    for lam in lowest_eigenvalues(op, 10):
+        assert eigenvector(op, lam).tobytes() == _full_sweep_eigenvector(op, lam).tobytes()
+
+
+def test_eigenvector_forward_sweep_stops_in_the_levels_tail():
+    """At level 1 of the Coulomb default window the forward pivots stop where
+    the level has decayed, before half the rows (the backward pivots, which
+    the stop needs, still take every row)."""
+    op = _spectrum_operator("--model", "coulomb")
+    lam = lowest_eigenvalues(op, 2)[1]
+    d, *rest = op._sweep_rows
+    op.__dict__["_sweep_rows"] = (rows := _CountedRows(d), *rest)
+    eigenvector(op, lam)
+    assert 0 < rows.read < op.size // 2
