@@ -1,16 +1,11 @@
-"""Command-line interface.
-
-Four subcommands::
-
-    susyrad spectrum      analytic and/or finite-difference levels
-    susyrad wavefunction  sampled two-component bound states
-    susyrad partner       sampled partner potentials V- and V+
-    susyrad verify        run the consistency checks, emit a JSON report
+"""Command-line interface: the subcommands and the settings each reads are
+the table COMMANDS.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify ran but at least
 one check failed, 2 usage/configuration error, 3 runtime failure inside the
-numerics. resolve_config makes every exit-2 refusal, and judges the verify
-premises on the run's one closed-form zero mode, before any output.
+numerics. Every exit-2 refusal is one error line, made by the parser or by
+resolve_config, which also judges the verify premises on the run's one
+closed-form zero mode, before any output.
 
 Output is deterministic byte-for-byte for a fixed invocation: CSV uses 17
 significant digits (round-trip exact for doubles) with CRLF line endings,
@@ -366,49 +361,61 @@ def render_verify(report: dict) -> str:
 # Argument parsing and config resolution
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="susyrad",
-        description="Radial bound states via superpotential factorization: "
-                    "closed-form spectra with an independent finite-difference check.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("spectrum", "emit bound-state levels"),
-        ("wavefunction", "emit sampled two-component bound states"),
-        ("partner", "emit the sampled partner potentials"),
-        ("verify", "run consistency checks and emit a JSON report"),
-    ):
-        s = sub.add_parser(name, help=text)
-        s.add_argument("--model", choices=[f.value for f in Family], default=None)
-        s.add_argument("--format", dest="output_format", choices=["csv", "json"], default=None)
-        s.add_argument("--omega", type=float, default=None, help="oscillator frequency")
-        s.add_argument("--B", type=float, default=None, help="magnetic field strength")
-        s.add_argument("--ell", type=int, default=None, help="angular momentum label")
-        s.add_argument("--kappa", type=float, default=None, help="coulomb coupling")
-        s.add_argument("--a", type=float, default=None, help="morse depth / anharmonic linear term")
-        s.add_argument("--b", type=float, default=None, help="morse shift / QES coupling")
-        s.add_argument("--alpha", type=float, default=None, help="morse range")
-        s.add_argument("--e2", type=float, default=None, help="deformed-coulomb coupling")
-        s.add_argument("--omega-t", dest="omega_t", type=float, default=None,
-                       help="total frequency for the QES families")
-        s.add_argument("--grid", type=str, default=None, metavar="RMIN,RMAX,NPTS")
-        s.add_argument("--n-max", dest="n_max", type=int, default=None)
-        s.add_argument("--method", choices=["analytic", "numeric", "both"], default=None)
-        s.add_argument("--checks", type=str, default=None,
-                       help="comma-separated subset of: " + ",".join(CHECKS))
-        s.add_argument("--config", type=str, default=None, help="JSON config file")
-        if name == "wavefunction":
-            s.add_argument("--n", type=int, default=None, help="level (default 0)")
-    return parser
-
+#: each subcommand: its help, and what it reads besides the model (its family,
+#: parameters and ell), the window and --config; config keys follow the same table
+COMMANDS = {
+    "spectrum": ("emit bound-state levels", ("format", "n_max", "method")),
+    "wavefunction": ("emit sampled two-component bound states",
+                     ("format", "n_max", "method", "n")),
+    "partner": ("emit the sampled partner potentials", ("format", "n_max")),
+    "verify": ("run consistency checks and emit a JSON report", ("n_max", "checks")),
+}
 
 #: model parameters whose flag and config key are spelled differently
 _PARAM_KEYS = {"omega_T": "omega_t"}
 
-_CONFIG_KEYS = {"model", "format", "ell", "grid", "n_max", "n", "method", "checks",
-                "w_samples", "w_prime_samples",
-                *(_PARAM_KEYS.get(k, k) for rec in FAMILIES.values() for k in rec.params)}
+
+def _model_keys(record) -> list:
+    """The flags and config keys a family reads: its parameters, and ell if it has one."""
+    return [_PARAM_KEYS.get(k, k) for k in record.params] + (["ell"] if record.has_ell else [])
+
+
+class _Parser(argparse.ArgumentParser):
+    """A refusal raises UsageError: one error line and exit 2, no usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="susyrad", allow_abbrev=False,
+        description="Radial bound states via superpotential factorization: "
+                    "closed-form spectra with an independent finite-difference check.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    takers = {}  # model flag -> the families that take it
+    for family, record in FAMILIES.items():
+        for key in _model_keys(record):
+            takers.setdefault(key, []).append(family.value)
+    flags = {
+        "model": (str, "family: " + ", ".join(f.value for f in Family)),
+        "grid": (str, "RMIN,RMAX,NPTS (default: the family's window)"),
+        **{key: (int if key == "ell" else float, "taken by " + ", ".join(families))
+           for key, families in takers.items()},
+        "format": (str, "csv or json"),
+        "n_max": (int, "highest level (default 4, or the tower's top)"),
+        "method": (str, "analytic, numeric or both"),
+        "n": (int, "level (default 0)"),
+        "checks": (str, "comma-separated subset of: " + ",".join(CHECKS)),
+        "config": (str, "JSON config file"),
+    }
+    for name, (text, reads) in COMMANDS.items():
+        s = sub.add_parser(name, help=text, allow_abbrev=False)  # full flag names only
+        for key in ("model", "grid", *takers, *reads, "config"):
+            kind, help_text = flags[key]
+            s.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
+    return parser
 
 
 def _load_config_file(path: str) -> dict:
@@ -421,9 +428,6 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return data
 
 
@@ -476,11 +480,27 @@ def resolve_config(args) -> RunConfig:
         raise UsageError(f"unknown model family {family_name!r}")
 
     record = FAMILIES[family]
+    # a setting this subcommand and family do not read is refused, not dropped
+    read = {"model", "grid", *COMMANDS[args.command][1], *_model_keys(record)}
+    if family is Family.CUSTOM:
+        read |= {"w_samples", "w_prime_samples"}
+    given = {key for key, value in vars(args).items() if value is not None}
+    flags = sorted("--" + key.replace("_", "-") for key in given - read - {"command", "config"})
+    if flags:
+        raise UsageError(f"{args.command} --model {family.value} takes no {', '.join(flags)}")
+    keys = sorted(set(file_cfg) - read)
+    if keys:
+        raise UsageError(f"unknown config keys for {args.command} --model {family.value}: "
+                         f"{', '.join(keys)}")
+
     ell = _setting(args, file_cfg, "ell", 0, int)
     params = {key: _setting(args, file_cfg, _PARAM_KEYS.get(key, key), default, float)
               for key, default in record.params.items()}
     grid_setting = _setting(args, file_cfg, "grid")
     n_max = _setting(args, file_cfg, "n_max", kind=int)
+    n = _setting(args, file_cfg, "n", 0, int)
+    if n < 0:
+        raise UsageError("--n must be nonnegative")
 
     try:
         if family is Family.CUSTOM:
@@ -493,17 +513,15 @@ def resolve_config(args) -> RunConfig:
             model = custom_model(_parse_grid(grid_setting), file_cfg["w_samples"],
                                  file_cfg["w_prime_samples"])
         else:
-            model = ModelSpec(family, params, ell if record.has_ell else 0)
+            model = ModelSpec(family, params, ell)
         n_max = int(min(4, model.max_level) if n_max is None else n_max)
         if n_max < 0:
             raise UsageError("--n-max must be nonnegative")
         if grid_setting is not None:
             grid = _parse_grid(grid_setting)
-        elif verify:
-            grid = default_grid(model, max(n_max, VERIFY_TOP_LEVEL))
-        else:
-            grid = default_grid(model, n_max)
-    except (ConfigurationError, DomainError, NumericError) as exc:
+        else:  # the window holds the highest level the run reads
+            grid = default_grid(model, max(n_max, VERIFY_TOP_LEVEL if verify else n))
+    except (ConfigurationError, DomainError, NumericError, OverflowError) as exc:
         raise UsageError(f"invalid model configuration: {exc}")
 
     # closed forms cover every level only for the fully solvable families
@@ -516,14 +534,9 @@ def resolve_config(args) -> RunConfig:
     if method not in methods:
         raise UsageError(f"{args.command} takes --method {'/'.join(methods)}, not {method!r}")
 
-    # the verification report is always JSON
-    fmt = "json" if verify else args.output_format or file_cfg.get("format") or "csv"
+    fmt = _setting(args, file_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
-
-    n = _setting(args, file_cfg, "n", 0, int)
-    if n < 0:
-        raise UsageError("--n must be nonnegative")
     cfg = RunConfig(model=model, grid=grid, n_max=n_max, n=n, method=method,
                     output_format=fmt)
 
@@ -538,15 +551,14 @@ def resolve_config(args) -> RunConfig:
         if not names:
             raise UsageError(f"--checks names no check; choose from {', '.join(CHECKS)}")
         names = tuple(c for c in CHECKS if c in names)
-    cfg.checks = names if verify else ()
+    cfg.checks = names
 
-    # a reader: V- levels read from the one solve, top closed-form level read
-    # (-1: none); a check named to another command reads only its closed forms
+    # a reader: V- levels read from the one solve, top closed-form level read (-1: none)
     readers = []
     for c in names:
-        count = CHECKS[c].levels(model, n_max) if verify else 0
+        count = CHECKS[c].levels(model, n_max)
         readers.append((f"the {c} check", count,
-                        max(count - 1, 0) if CHECKS[c].needs_closed_form else -1, "--n-max"))
+                        count - 1 if CHECKS[c].needs_closed_form else -1, "--n-max"))
     if args.command == "spectrum":
         readers.append((f"--n-max {n_max}", 0 if method == "analytic" else n_max + 1,
                         -1 if method == "numeric" else n_max, "--n-max"))
@@ -575,7 +587,6 @@ def resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # argparse takes a token that starts with "-" and is not a plain number for
     # a flag, so a negative value such as "-1e-05" or the r_min of
     # "-12,40,801" is attached to the flag before it; every long flag but
@@ -586,11 +597,7 @@ def main(argv=None) -> int:
                 and re.match(r"-\.?\d", argv[i + 1]):
             argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-
-    try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "spectrum":
             rows = cmd_spectrum(cfg)
@@ -613,6 +620,8 @@ def main(argv=None) -> int:
         if any(e["metric"] is None for e in report["entries"]):
             return EXIT_RUNTIME
         return EXIT_OK if report["all_passed"] else EXIT_CHECKS_FAILED
+    except SystemExit:  # --help; the parser raises UsageError for a refusal
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

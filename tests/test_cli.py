@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from susyrad import (
     Family,
     ModelSpec,
     RadialGrid,
+    analytic_epsilon_sq,
     analytic_wavefunctions,
     anharmonic_model,
     cli,
@@ -190,6 +192,16 @@ def test_wavefunction_numeric_spinor_is_normalized(capsys):
     assert norm == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_default_wavefunction_window_holds_level_n(capsys, n):
+    """The default window is sized for max(n_max, n), not for n_max alone."""
+    code, out, _ = run_cli(capsys, "wavefunction", "--model", "coulomb", "--n", str(n),
+                           "--method", "numeric", "--format", "json")
+    assert code == 0
+    exact = analytic_epsilon_sq(coulomb_model(1.0), n)
+    assert json.loads(out)["epsilon_sq"] == pytest.approx(exact, rel=1e-3)
+
+
 def test_wavefunction_sextic_at_ell_0_needs_no_open_origin(capsys):
     code, out, err = run_cli(capsys, "wavefunction", "--model", "sextic",
                              "--grid", "0,5,101", "--method", "analytic")
@@ -361,13 +373,6 @@ def test_verify_checks_subset_in_canonical_order(capsys):
     assert code == 0
     names = [e["check"] for e in json.loads(out)["entries"]]
     assert names == ["intertwine", "orthonormal"]
-
-
-def test_verify_is_json_even_when_csv_requested(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--model", "oscillator",
-                           "--format", "csv", "--checks", "orthonormal")
-    assert code == 0
-    json.loads(out)  # must parse
 
 
 def test_verify_flags_failure_on_coarse_grid(capsys):
@@ -578,12 +583,27 @@ def _custom_config(w_samples):
     (("wavefunction", "--method", "analytic", "--n", "1"), _custom_config([1.0] * 5)),
     (("verify", "--checks", "analytic_vs_numeric", "--n-max", "1"), _custom_config([1.0] * 5)),
     (("spectrum", "--checks", "analytic_vs_numeric"), _custom_config([1.0] * 5)),
+    (("partner", "--model", "oscillator", "--grid", "0.5,3,3", "--checks", "isospectral"), None),
+    (("verify", "--format", "csv"), None),
+    (("partner", "--method", "analytic"), None),
+    (("verify", "--method", "both"), None),
+    (("spectrum", "--n", "1"), None),
+    (("spectrum", "--kap", "2"), None),
+    (("spectrum", "--model", "foo"), None),
+    (("spectrum", "--bogus", "1"), None),
+    (("spectrum", "--model", "oscillator", "--kappa", "5"), None),
+    (("spectrum", "--model", "morse", "--ell", "3"), None),
+    (("spectrum",), {"model": "oscillator", "checks": "isospectral"}),
+    (("spectrum", "--model", "coulomb", "--n-max", "1" + "0" * 400), None),
 ], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid",
         "custom-w-text", "custom-w-scalar", "checks-beyond-grid", "verify-beyond-tower",
         "wavefunction-beyond-tower", "no-checks", "qes-analytic-spectrum-above-ground",
         "spectrum-beyond-tower", "custom-analytic-spectrum", "wavefunction-method-both",
         "qes-analytic-wavefunction-above-ground", "custom-analytic-wavefunction-above-ground",
-        "custom-verify-closed-form-check", "custom-spectrum-closed-form-check"])
+        "custom-verify-closed-form-check", "custom-spectrum-closed-form-check",
+        "partner-checks", "verify-format", "partner-method", "verify-method", "n-on-spectrum",
+        "flag-prefix", "unknown-family", "unknown-flag", "param-of-another-family",
+        "ell-without-ell", "spectrum-config-checks", "n-max-beyond-float"])
 def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
         cfgfile = tmp_path / "cfg.json"
@@ -595,6 +615,16 @@ def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     assert code == 2
     assert out == "" and not caught
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_only_the_flags_the_subcommand_reads(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == 0 and err == ""
+    listed = set(re.findall(r"^  (--[\w-]+)", out, flags=re.M)) - {"--help"}
+    model = {"--model", "--grid", "--config", "--ell", "--omega", "--B", "--kappa", "--a",
+             "--alpha", "--b", "--omega-t", "--e2"}
+    assert listed == model | {"--" + k.replace("_", "-") for k in cli.COMMANDS[command][1]}
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
@@ -662,12 +692,14 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
 @st.composite
 def invocations(draw):
     """A built-in family with parameters drawn from half to twice their
-    defaults, a subcommand and its flags, on an explicit grid of at most 401
-    points (negative r_min for Morse)."""
+    defaults, a subcommand and the flags it and the family take, on an
+    explicit grid of at most 401 points (negative r_min for Morse)."""
     family = draw(st.sampled_from([f for f in Family if f is not Family.CUSTOM]))
-    command = draw(st.sampled_from(["spectrum", "verify", "wavefunction", "partner"]))
-    argv = [command, "--model", family.value,
-            "--format", draw(st.sampled_from(["csv", "json"]))]
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    reads = cli.COMMANDS[command][1]
+    argv = [command, "--model", family.value]
+    if "format" in reads:
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     for key, default in FAMILIES[family].params.items():
         value = default * draw(st.floats(0.5, 2.0)) if default else draw(st.floats(0.0, 2.0))
         flag = "--" + cli._PARAM_KEYS.get(key, key).replace("_", "-")
@@ -677,15 +709,16 @@ def invocations(draw):
     r_max = round(draw(st.floats(3.0, 30.0)), 2)
     n_points = draw(st.sampled_from([401, 201, 101, 3]))
     argv += ["--grid", f"{r_min!r},{r_max!r},{n_points}"]
-    optional = {"--ell": st.integers(0, 2), "--n-max": st.integers(0, 6),
-                "--method": st.sampled_from(["analytic", "numeric", "both"]),
-                "--checks": st.lists(st.sampled_from(list(cli.CHECKS)), min_size=1,
-                                     unique=True).map(",".join)}
-    if command == "wavefunction":
-        optional["--n"] = st.integers(0, 4)
-    for flag, values in optional.items():
-        if draw(st.booleans()):
-            argv += [flag, str(draw(values))]
+    optional = {"ell": st.integers(0, 2), "n_max": st.integers(0, 6),
+                "method": st.sampled_from(["analytic", "numeric", "both"]),
+                "checks": st.lists(st.sampled_from(list(cli.CHECKS)), min_size=1,
+                                   unique=True).map(",".join),
+                "n": st.integers(0, 4)}
+    # only the settings this subcommand and family read
+    takes = {*reads, *(["ell"] if FAMILIES[family].has_ell else [])}
+    for key, values in optional.items():
+        if key in takes and draw(st.booleans()):
+            argv += ["--" + key.replace("_", "-"), str(draw(values))]
     return argv
 
 

@@ -84,12 +84,29 @@ EXTREME = (
     ("spectrum", "--model", "anharmonic", "--a", "-1e-05"),
     ("verify", "--model", "anharmonic", "--a", "-8"),
     ("spectrum", "--config", "no-such-config.json"),
+    # settings the subcommand or the family does not read, and unknown or cut-short flags
+    ("partner", "--model", "oscillator", "--grid", "0.5,3,3", "--checks", "isospectral"),
+    ("verify", "--format", "csv"),
+    ("partner", "--method", "analytic"),
+    ("verify", "--method", "both"),
+    ("spectrum", "--n", "1"),
+    ("spectrum", "--kap", "2"),
+    ("spectrum", "--model", "foo"),
+    ("spectrum", "--bogus", "1"),
+    ("spectrum", "--model", "oscillator", "--kappa", "5"),
+    ("spectrum", "--model", "morse", "--ell", "3"),
+    # levels above the default n_max on the default window
+    ("wavefunction", "--model", "coulomb", "--n", "9"),
+    ("wavefunction", "--model", "coulomb", "--n", "12"),
+    ("wavefunction", "--model", "coulomb", "--n", "9", "--method", "numeric"),
+    ("wavefunction", "--model", "coulomb", "--n", "12", "--method", "numeric"),
 )
 
 
-def battery(custom: str, bad_custom: str) -> list:
-    """Every invocation, in a fixed order; `custom` and `bad_custom` are the
-    paths of a tabulated-W config and of one whose samples are text."""
+def battery(custom: str, bad_custom: str, stray: str) -> list:
+    """Every invocation, in a fixed order; `custom`, `bad_custom` and `stray`
+    are the paths of a tabulated-W config, of one whose samples are text and
+    of an oscillator config holding a key that spectrum does not read."""
     runs = []
     families = [("--model", f) for f in SMALL_GRIDS] + [("--config", custom)]
     for model in families:
@@ -118,6 +135,7 @@ def battery(custom: str, bad_custom: str) -> list:
         runs.append(["verify", "--model", family])
     runs.append(["verify", "--model", "coulomb", "--ell", "1", "--n-max", "6"])
     runs.append(["spectrum", "--config", bad_custom])
+    runs.append(["spectrum", "--config", stray])
     runs.extend(list(argv) for argv in EXTREME)
     return runs
 
@@ -145,7 +163,8 @@ def main(argv=None) -> int:
     from susyrad import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        custom, bad_custom = os.path.join(tmp, "custom.json"), os.path.join(tmp, "bad.json")
+        custom, bad_custom, stray = (os.path.join(tmp, name) for name in
+                                     ("custom.json", "bad.json", "stray.json"))
         r = [6.0 * i / 600 for i in range(601)]
         with open(custom, "w", encoding="utf-8") as fh:
             json.dump({"model": "custom", "grid": "0,6,601",
@@ -154,7 +173,9 @@ def main(argv=None) -> int:
         with open(bad_custom, "w", encoding="utf-8") as fh:
             json.dump({"model": "custom", "grid": [0, 6, 5],
                        "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5}, fh)
-        for argv_ in battery(custom, bad_custom):
+        with open(stray, "w", encoding="utf-8") as fh:
+            json.dump({"model": "oscillator", "checks": "isospectral"}, fh)
+        for argv_ in battery(custom, bad_custom, stray):
             code, digest, err = run(cli, argv_)
             shown = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_)
             print(f"{shown} | {code} | {digest} | {err.rstrip(chr(10)).replace(chr(10), ' / ')}")
