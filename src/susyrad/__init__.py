@@ -17,7 +17,6 @@ from .core import (
     Source,
     SpectrumLevel,
     SpectrumResult,
-    Units,
     anharmonic_model,
     coulomb_model,
     custom_model,
@@ -74,7 +73,6 @@ __all__ = [
     "SpectrumResult",
     "Superpotential",
     "TridiagonalOperator",
-    "Units",
     "analytic_epsilon_sq",
     "analytic_spectrum",
     "analytic_wavefunctions",

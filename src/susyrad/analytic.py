@@ -7,7 +7,8 @@ the upper component is produced by the lowering operator and the pair is
 normalized jointly, int (f_-^2 + f_+^2) dr = 1.
 
 All epsilon^2 values are the shifted squared eigenvalues of
--f'' + V_- f = eps^2 f; map them to energies with core.epsilon_to_energy.
+-f'' + V_- f = eps^2 f, in natural units; core.epsilon_to_energy maps them to
+the energies E = +-sqrt(1 + eps^2).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def analytic_spectrum(model: ModelSpec, n_max: int) -> SpectrumResult:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     eps = [analytic_epsilon_sq(model, n) for n in range(n_max + 1)]
-    return spectrum_result(eps, model.units, Source.ANALYTIC)
+    return spectrum_result(eps, Source.ANALYTIC)
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,6 @@ JSON uses the shortest round-trip float representation.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -279,7 +277,7 @@ def cmd_spectrum(cfg: RunConfig):
     if cfg.method in ("analytic", "both"):
         ana = _analytic.analytic_spectrum(model, n_max).levels
     if cfg.method in ("numeric", "both"):
-        nums = spectrum_result(cfg.eigenvalues(n_max + 1), model.units, Source.NUMERIC).levels
+        nums = spectrum_result(cfg.eigenvalues(n_max + 1), Source.NUMERIC).levels
 
     rows = []
     for n in range(n_max + 1):
@@ -319,12 +317,10 @@ def _g17(x) -> str:
 
 
 def _csv_text(header, rows_of_values) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows_of_values:
-        writer.writerow(row)
-    return buf.getvalue()
+    # every field is a _g17 number, a fixed word or empty: none needs quoting
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows_of_values)
+    return "\r\n".join(lines) + "\r\n"
 
 
 def render_spectrum(rows, fmt: str, with_delta: bool) -> str:
@@ -387,7 +383,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, so --help and an unknown command read the same, but flags
+    on `command` only (on every subcommand when None): an invocation parses one."""
     parser = _Parser(
         prog="susyrad", allow_abbrev=False,
         description="Radial bound states via superpotential factorization: "
@@ -412,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (text, reads) in COMMANDS.items():
         s = sub.add_parser(name, help=text, allow_abbrev=False)  # full flag names only
+        if command not in (None, name):
+            continue
         for key in ("model", "grid", *takers, *reads, "config"):
             kind, help_text = flags[key]
             s.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
@@ -431,19 +431,24 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _number(value) -> float:
+    """float(value), refusing a boolean, which float() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _parse_grid(value) -> RadialGrid:
-    if isinstance(value, str):
-        parts = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise UsageError("grid must be 'rmin,rmax,npts'")
-    if len(parts) != 3:
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise UsageError("grid must be 'rmin,rmax,npts'")
     try:
-        r_min, r_max, n_points = float(parts[0]), float(parts[1]), int(float(parts[2]))
+        r_min, r_max, npts = (_number(p) for p in parts)
+        n_points = int(npts)
     except (TypeError, ValueError):
         raise UsageError("grid must be 'rmin,rmax,npts' with numeric entries")
+    if n_points != npts:
+        raise UsageError(f"grid NPTS must be an integer, got {parts[2]!r}")
     try:
         return RadialGrid(r_min, r_max, n_points)
     except ConfigurationError as exc:
@@ -452,7 +457,7 @@ def _parse_grid(value) -> RadialGrid:
 
 def _setting(args, file_cfg: dict, key: str, default=None, kind=None):
     """The flag, else the config-file value as `kind` (float, or int when
-    integral; anything else is a usage error), else the default."""
+    integral; anything else, a boolean too, is a usage error), else the default."""
     flag_val = getattr(args, key, None)
     if flag_val is not None:
         return flag_val
@@ -460,7 +465,7 @@ def _setting(args, file_cfg: dict, key: str, default=None, kind=None):
     if value is None or kind is None:
         return default if value is None else value
     try:
-        x = float(value)
+        x = _number(value)
         if kind is int and x != int(x):
             raise ValueError
         return kind(x)
@@ -597,7 +602,7 @@ def main(argv=None) -> int:
                 and re.match(r"-\.?\d", argv[i + 1]):
             argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "spectrum":
             rows = cmd_spectrum(cfg)

@@ -1,16 +1,16 @@
-"""Shared domain types: units, radial grids, model specifications, spectra.
+"""Shared domain types: radial grids, model specifications, spectra.
 
 Everything downstream (superpotentials, closed-form spectra, the numerical
 solver, the CLI) works in terms of the values defined here.  All types are
-immutable; natural units (hbar = m = c = e = 4*pi*eps0 = 1) are the default
-and every formula in the package is quoted in that convention.
+immutable.  The package works in natural units only (hbar = m = c = e =
+4*pi*eps0 = 1): every formula is quoted, and computed, in that convention.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,28 +30,6 @@ class ConfigurationError(ValueError):
 
 class NumericError(RuntimeError):
     """A numerical routine failed to converge or to verify its own result."""
-
-
-@dataclass(frozen=True)
-class Units:
-    """Physical constants entering the radial equations.
-
-    Defaults are natural units.  The permittivity has no field: it is
-    absorbed into the Coulomb coupling kappa, which is passed as given.
-    """
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    c: float = 1.0
-    e_charge: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "mass", "c", "e_charge"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"units field {name!r} must be strictly positive")
-
-
-NATURAL_UNITS = Units()
 
 
 @dataclass(frozen=True)
@@ -91,11 +69,12 @@ class Family(enum.Enum):
     CUSTOM = "custom"
 
 
-def omega_total(omega: float, B: float, units: Units = NATURAL_UNITS) -> float:
-    """Total oscillator frequency: mechanical omega plus the Larmor term e*B/(2m)."""
+def omega_total(omega: float, B: float) -> float:
+    """Total oscillator frequency omega_T = omega + B/2: mechanical omega plus
+    the Larmor term eB/2m in natural units."""
     if omega < 0 or B < 0:
         raise DomainError("omega and B must be nonnegative")
-    return omega + units.e_charge * B / (2.0 * units.mass)
+    return omega + B / 2.0
 
 
 @dataclass(frozen=True)
@@ -146,18 +125,18 @@ class FamilyRecord:
 
 
 def _omega_t(m: "ModelSpec") -> float:
-    return omega_total(m.params["omega"], m.params["B"], m.units)
+    return omega_total(m.params["omega"], m.params["B"])
 
 
 def _oscillator_w(m: "ModelSpec") -> Superpotential:
-    lam = m.units.mass * _omega_t(m) / m.units.hbar
+    w_t = _omega_t(m)
     c = -(m.ell + 1.0)
-    return Superpotential(lambda r: lam * r + c / r, lambda r: lam - c / r**2, c,
-                          lambda r: lam * r)
+    return Superpotential(lambda r: w_t * r + c / r, lambda r: w_t - c / r**2, c,
+                          lambda r: w_t * r)
 
 
 def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
-    s = math.sqrt(m.units.mass * _omega_t(m) / m.units.hbar)
+    s = math.sqrt(_omega_t(m))
     return RadialGrid(1e-6 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
 
 
@@ -285,9 +264,8 @@ FAMILIES = {
         ),
         superpotential=_oscillator_w,
         window=_oscillator_window,
-        epsilon_sq=lambda m, n: 4.0 * n * m.units.mass * _omega_t(m) / m.units.hbar,
-        envelope=lambda m, n, r: ((m.ell + 1.0) / 2.0,
-                                  m.units.mass * _omega_t(m) / m.units.hbar * r**2, m.ell + 0.5),
+        epsilon_sq=lambda m, n: 4.0 * n * _omega_t(m),
+        envelope=lambda m, n, r: ((m.ell + 1.0) / 2.0, _omega_t(m) * r**2, m.ell + 0.5),
     ),
     Family.COULOMB: FamilyRecord(
         params={"kappa": 1.0},
@@ -369,7 +347,7 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the potential families with its parameters, angular label and units.
+    """One of the potential families with its parameters and angular label.
 
     Parameter records are plain mappings; use the per-family constructors
     below rather than building the dict by hand.
@@ -378,7 +356,6 @@ class ModelSpec:
     family: Family
     params: Mapping
     ell: int = 0
-    units: Units = field(default_factory=Units)
 
     def __post_init__(self):
         record = self.record
@@ -411,49 +388,38 @@ class ModelSpec:
         return math.inf if top is None else top(self)
 
 
-def oscillator_model(omega: float, B: float = 0.0, ell: int = 0,
-                     units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(Family.OSCILLATOR, {"omega": float(omega), "B": float(B)}, ell, units)
+def oscillator_model(omega: float, B: float = 0.0, ell: int = 0) -> ModelSpec:
+    return ModelSpec(Family.OSCILLATOR, {"omega": float(omega), "B": float(B)}, ell)
 
 
-def coulomb_model(kappa: float, ell: int = 0, units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(Family.COULOMB, {"kappa": float(kappa)}, ell, units)
+def coulomb_model(kappa: float, ell: int = 0) -> ModelSpec:
+    return ModelSpec(Family.COULOMB, {"kappa": float(kappa)}, ell)
 
 
-def morse_model(a: float, alpha: float, b: float, units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(Family.MORSE, {"a": float(a), "alpha": float(alpha), "b": float(b)},
-                     0, units)
+def morse_model(a: float, alpha: float, b: float) -> ModelSpec:
+    return ModelSpec(Family.MORSE, {"a": float(a), "alpha": float(alpha), "b": float(b)})
 
 
-def anharmonic_model(a: float, omega_T: float, b: float,
-                     units: Units = NATURAL_UNITS) -> ModelSpec:
+def anharmonic_model(a: float, omega_T: float, b: float) -> ModelSpec:
     return ModelSpec(Family.ANHARMONIC_QES,
-                     {"a": float(a), "omega_T": float(omega_T), "b": float(b)}, 0, units)
+                     {"a": float(a), "omega_T": float(omega_T), "b": float(b)})
 
 
-def sextic_model(omega_T: float, b: float, ell: int = 0,
-                 units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(Family.SEXTIC_QES, {"omega_T": float(omega_T), "b": float(b)}, ell, units)
+def sextic_model(omega_T: float, b: float, ell: int = 0) -> ModelSpec:
+    return ModelSpec(Family.SEXTIC_QES, {"omega_T": float(omega_T), "b": float(b)}, ell)
 
 
-def deformed_coulomb_model(e2: float, omega_T: float, ell: int = 0,
-                           units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(Family.DEFORMED_COULOMB_QES,
-                     {"e2": float(e2), "omega_T": float(omega_T)}, ell, units)
+def deformed_coulomb_model(e2: float, omega_T: float, ell: int = 0) -> ModelSpec:
+    return ModelSpec(Family.DEFORMED_COULOMB_QES, {"e2": float(e2), "omega_T": float(omega_T)},
+                     ell)
 
 
-def custom_model(grid: RadialGrid, w_samples, w_prime_samples,
-                 units: Units = NATURAL_UNITS) -> ModelSpec:
-    return ModelSpec(
-        Family.CUSTOM,
-        {
-            "grid": grid,
-            "w_samples": _float_samples("w_samples", w_samples),
-            "w_prime_samples": _float_samples("w_prime_samples", w_prime_samples),
-        },
-        0,
-        units,
-    )
+def custom_model(grid: RadialGrid, w_samples, w_prime_samples) -> ModelSpec:
+    return ModelSpec(Family.CUSTOM, {
+        "grid": grid,
+        "w_samples": _float_samples("w_samples", w_samples),
+        "w_prime_samples": _float_samples("w_prime_samples", w_prime_samples),
+    })
 
 
 def _float_samples(name: str, values) -> np.ndarray:
@@ -467,30 +433,29 @@ def _float_samples(name: str, values) -> np.ndarray:
 # Energies
 
 
-def epsilon_to_energy(epsilon_sq: float, units: Units = NATURAL_UNITS) -> tuple[float, float]:
+def epsilon_to_energy(epsilon_sq: float) -> tuple[float, float]:
     """Map the shifted squared eigenvalue to the (+E, -E) energy pair.
 
-    E = sqrt(m^2 c^4 + hbar^2 c^2 * epsilon_sq); both signs are physical
-    branches of the relativistic dispersion.
+    E = sqrt(1 + epsilon_sq), the relativistic dispersion in natural units;
+    both signs are physical branches.
 
     Raises:
         DomainError: for negative epsilon_sq (non-physical level).
     """
     if epsilon_sq < 0:
         raise DomainError("epsilon_sq must be nonnegative")
-    return _energy_pair(epsilon_sq, units)
+    return _energy_pair(epsilon_sq)
 
 
-def _energy_pair(epsilon_sq: float, units: Units) -> tuple[float, float]:
+def _energy_pair(epsilon_sq: float) -> tuple[float, float]:
     """Energy pair without the sign gate.
 
     Numerical spectra legitimately produce tiny negative epsilon_sq for an
     exact zero mode; this helper only requires the total squared energy to
-    stay nonnegative so the E^2 - m^2 c^4 = hbar^2 c^2 eps^2 identity holds
-    exactly on every emitted row.
+    stay nonnegative so the E^2 - 1 = eps^2 identity holds exactly on every
+    emitted row.
     """
-    m, c, hbar = units.mass, units.c, units.hbar
-    arg = (m * c * c) ** 2 + (hbar * c) ** 2 * epsilon_sq
+    arg = 1.0 + epsilon_sq
     if arg < 0:
         raise DomainError("epsilon_sq below the sub-rest-mass bound; no real energy")
     e = math.sqrt(arg)
@@ -532,10 +497,10 @@ class SpectrumResult:
         return np.array([lvl.epsilon_sq for lvl in self.levels])
 
 
-def spectrum_result(epsilon_sqs, units: Units, source: Source) -> SpectrumResult:
+def spectrum_result(epsilon_sqs, source: Source) -> SpectrumResult:
     """Assemble a SpectrumResult from epsilon^2 values for n = 0, 1, ..."""
     levels = []
     for n, eps2 in enumerate(epsilon_sqs):
-        ep, em = _energy_pair(float(eps2), units)
+        ep, em = _energy_pair(float(eps2))
         levels.append(SpectrumLevel(n, float(eps2), ep, em, source))
     return SpectrumResult(tuple(levels))

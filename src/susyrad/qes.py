@@ -73,4 +73,4 @@ def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> Spectrum
         raise ValueError("k must be at least 1")
     pp = partner_potentials(superpotential_from_model(model), grid)
     eigs = lowest_eigenvalues(discretize(pp.v_minus, grid), k)
-    return spectrum_result(eigs, model.units, Source.NUMERIC)
+    return spectrum_result(eigs, Source.NUMERIC)

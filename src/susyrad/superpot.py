@@ -1,6 +1,6 @@
 """Superpotentials W(r), partner potentials and the first-order ladder operators.
 
-The radial problem factorizes through W = l/r + (e A(r) + v(r))/hbar: the
+The radial problem factorizes through W = l/r + e A(r) + v(r): the
 partner potentials are V_- = W^2 - W' and V_+ = W^2 + W', the lower-partner
 zero mode is exp(-int W), and the operators (d/dr + W) / (-d/dr + W) map
 between the partner towers.

@@ -17,7 +17,6 @@ import pytest
 
 from susyrad import (
     RadialGrid,
-    Units,
     analytic_spectrum,
     analytic_wavefunctions,
     anharmonic_model,
@@ -214,25 +213,21 @@ def test_oscillator_gram_identity_and_universal_spinor_norms():
 
 
 def test_every_spectrum_row_satisfies_the_relativistic_energy_relation():
-    """E^2 - m^2 c^4 = hbar^2 c^2 eps^2 to machine precision, in natural and
-    rescaled units, for analytic and numeric spectra alike."""
-    scaled = Units(hbar=0.5, mass=2.0, c=3.0)
+    """E^2 - 1 = eps^2 to machine precision (natural units), for analytic and
+    numeric spectra alike."""
     results = [
-        (analytic_spectrum(oscillator_model(1.0), 4), Units()),
-        (analytic_spectrum(oscillator_model(1.0, 2.0, ell=1, units=scaled), 3), scaled),
-        (analytic_spectrum(coulomb_model(1.0, 0, scaled), 3), scaled),
-        (analytic_spectrum(morse_model(3.0, 1.0, 3.0), 2), Units()),
-        (qes_numeric_spectrum(anharmonic_model(-8.0, 1.0, 1.0),
-                              RadialGrid(1e-5, 8.0, 8001), 2), Units()),
+        analytic_spectrum(oscillator_model(1.0), 4),
+        analytic_spectrum(oscillator_model(1.0, 2.0, ell=1), 3),
+        analytic_spectrum(coulomb_model(1.0, 0), 3),
+        analytic_spectrum(morse_model(3.0, 1.0, 3.0), 2),
+        qes_numeric_spectrum(anharmonic_model(-8.0, 1.0, 1.0), RadialGrid(1e-5, 8.0, 8001), 2),
     ]
-    for spec, units in results:
-        mc2_sq = (units.mass * units.c**2) ** 2
-        hc_sq = (units.hbar * units.c) ** 2
+    for spec in results:
         for level in spec.levels:
             for energy in (level.energy_plus, level.energy_minus):
-                lhs = energy * energy - mc2_sq
-                rhs = hc_sq * level.epsilon_sq
-                scale = mc2_sq + hc_sq * abs(level.epsilon_sq)
+                lhs = energy * energy - 1.0
+                rhs = level.epsilon_sq
+                scale = 1.0 + abs(level.epsilon_sq)
                 assert abs(lhs - rhs) <= 4.0 * np.finfo(float).eps * scale, (
                     f"identity violated at n={level.n}: {lhs!r} vs {rhs!r}"
                 )

@@ -521,6 +521,21 @@ def test_malformed_grid_is_usage_error(capsys):
     assert "grid" in err
 
 
+def test_integral_grid_point_count_reads_in_any_float_spelling(capsys):
+    runs = [run_cli(capsys, "partner", "--model", "oscillator", "--grid", f"0.5,3,{npts}")
+            for npts in ("11", "11.0", "1.1e1")]
+    assert runs[0][0] == 0 and runs[0][1].count("\n") == 12
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_build_parser_without_a_command_takes_every_subcommand_flag():
+    parser = cli.build_parser()
+    for command, (_, reads) in cli.COMMANDS.items():
+        flags = [f"--{key.replace('_', '-')}=0" for key in reads if key != "checks"]
+        args = parser.parse_args([command, "--omega=2", *flags])
+        assert args.command == command and args.omega == 2.0
+
+
 def test_negative_r_min_grid_reads_with_a_space_or_an_equals_sign(capsys):
     spaced = run_cli(capsys, "spectrum", "--model", "morse", "--grid", "-12,40,801")
     joined = run_cli(capsys, "spectrum", "--model", "morse", "--grid=-12,40,801")
@@ -550,7 +565,12 @@ def test_negative_n_max_is_usage_error(capsys):
     ("spectrum", "ell", 1.5),
     ("spectrum", "n_max", "abc"),
     ("wavefunction", "n", "abc"),
-], ids=["omega-text", "ell-text", "ell-fraction", "n_max-text", "n-text"])
+    ("spectrum", "omega", True),
+    ("spectrum", "omega", False),
+    ("spectrum", "n_max", True),
+    ("spectrum", "ell", False),
+], ids=["omega-text", "ell-text", "ell-fraction", "n_max-text", "n-text", "omega-true",
+        "omega-false", "n_max-true", "ell-false"])
 def test_config_value_of_the_wrong_kind_is_usage_error(capsys, tmp_path, command, key, value):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({key: value}))
@@ -595,6 +615,9 @@ def _custom_config(w_samples):
     (("spectrum", "--model", "morse", "--ell", "3"), None),
     (("spectrum",), {"model": "oscillator", "checks": "isospectral"}),
     (("spectrum", "--model", "coulomb", "--n-max", "1" + "0" * 400), None),
+    (("partner",), {"model": "oscillator", "grid": [0.5, True, 11]}),
+    (("spectrum", "--model", "oscillator", "--grid", "0.5,3,11.7"), None),
+    (("partner",), {"model": "oscillator", "grid": [0.5, 3, 11.7]}),
 ], ids=["non-finite-kappa", "non-finite-grid", "n-max-beyond-grid", "n-beyond-grid",
         "custom-w-text", "custom-w-scalar", "checks-beyond-grid", "verify-beyond-tower",
         "wavefunction-beyond-tower", "no-checks", "qes-analytic-spectrum-above-ground",
@@ -603,7 +626,8 @@ def _custom_config(w_samples):
         "custom-verify-closed-form-check", "custom-spectrum-closed-form-check",
         "partner-checks", "verify-format", "partner-method", "verify-method", "n-on-spectrum",
         "flag-prefix", "unknown-family", "unknown-flag", "param-of-another-family",
-        "ell-without-ell", "spectrum-config-checks", "n-max-beyond-float"])
+        "ell-without-ell", "spectrum-config-checks", "n-max-beyond-float", "grid-list-boolean",
+        "grid-fractional-npts", "grid-list-fractional-npts"])
 def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
         cfgfile = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""Units, grids, model validation and the energy mapping."""
+"""Grids, model validation and the energy mapping."""
 
 import math
 
@@ -13,7 +13,6 @@ from susyrad import (
     NoBoundStateError,
     RadialGrid,
     Source,
-    Units,
     anharmonic_model,
     coulomb_model,
     custom_model,
@@ -25,19 +24,6 @@ from susyrad import (
     sextic_model,
     spectrum_result,
 )
-
-
-def test_units_defaults_are_natural():
-    u = Units()
-    assert u.hbar == u.mass == u.c == u.e_charge == 1.0
-
-
-@pytest.mark.parametrize("field", ["hbar", "mass", "c", "e_charge"])
-def test_units_reject_nonpositive(field):
-    with pytest.raises(DomainError):
-        Units(**{field: 0.0})
-    with pytest.raises(DomainError):
-        Units(**{field: -1.0})
 
 
 def test_grid_spacing_and_points():
@@ -58,28 +44,19 @@ def test_grid_validation():
 
 
 def test_omega_total():
-    # omega_T = omega + e B / (2 m)
+    # omega_T = omega + B/2 in natural units
     assert omega_total(1.0, 0.0) == 1.0
     assert omega_total(1.0, 2.0) == 2.0
     assert omega_total(0.0, 4.0) == 2.0
-    assert omega_total(1.0, 2.0, Units(mass=2.0)) == 1.5
     with pytest.raises(DomainError):
         omega_total(-1.0, 0.0)
 
 
 def test_epsilon_to_energy_natural_units():
-    # E = +-sqrt(m^2 c^4 + hbar^2 c^2 eps^2); natural units make this sqrt(1+eps^2)
+    # E = +-sqrt(1 + eps^2)
     assert epsilon_to_energy(0.0) == (1.0, -1.0)
     assert epsilon_to_energy(3.0) == (2.0, -2.0)
     assert epsilon_to_energy(8.0) == (3.0, -3.0)
-
-
-def test_epsilon_to_energy_scaled_units():
-    u = Units(mass=2.0, c=3.0)
-    ep, em = epsilon_to_energy(0.0, u)
-    assert ep == 18.0 and em == -18.0
-    ep, _ = epsilon_to_energy(4.0, u)
-    assert math.isclose(ep, math.sqrt(18.0**2 + 9.0 * 4.0), rel_tol=1e-15)
 
 
 def test_epsilon_to_energy_rejects_negative():
@@ -88,25 +65,22 @@ def test_epsilon_to_energy_rejects_negative():
 
 
 def test_energy_identity_machine_precision():
-    """E^2 - m^2 c^4 == hbar^2 c^2 eps^2 must hold to rounding on every level."""
-    for u in (Units(), Units(hbar=0.7, mass=2.5, c=1.3)):
-        for eps_sq in (0.0, 1e-8, 0.5, 4.0, 1e4):
-            ep, em = epsilon_to_energy(eps_sq, u)
-            lhs = ep**2 - (u.mass * u.c**2) ** 2
-            rhs = u.hbar**2 * u.c**2 * eps_sq
-            # the subtraction cancels, so rounding scales with E^2 itself
-            assert abs(lhs - rhs) <= 8 * np.finfo(float).eps * max(ep**2, 1.0)
-            assert em == -ep
+    """E^2 - 1 == eps^2 must hold to rounding on every level."""
+    for eps_sq in (0.0, 1e-8, 0.5, 4.0, 1e4):
+        ep, em = epsilon_to_energy(eps_sq)
+        # the subtraction cancels, so rounding scales with E^2 itself
+        assert abs(ep**2 - 1.0 - eps_sq) <= 8 * np.finfo(float).eps * max(ep**2, 1.0)
+        assert em == -ep
 
 
 def test_nonrelativistic_limit_bounds_exact_gap():
-    """E - mc^2 <= hbar^2 eps^2 / 2m, with an O(eps^4) gap that shrinks ~4x
+    """E - 1 <= eps^2 / 2, with an O(eps^4) gap that shrinks ~4x
     per halving of eps^2."""
     gaps = []
     for eps_sq in (0.02, 0.01, 0.005):
         ep, _ = epsilon_to_energy(eps_sq)
         exact = ep - 1.0
-        approx = eps_sq / 2.0  # hbar^2 eps^2 / 2m in natural units
+        approx = eps_sq / 2.0  # the nonrelativistic eps^2 / 2
         assert exact <= approx
         gaps.append(approx - exact)
     assert 3.5 < gaps[0] / gaps[1] < 4.5
@@ -173,20 +147,20 @@ def test_model_missing_parameters():
 
 
 def test_spectrum_result_assembly_and_ordering():
-    res = spectrum_result([0.0, 4.0, 8.0], Units(), Source.ANALYTIC)
+    res = spectrum_result([0.0, 4.0, 8.0], Source.ANALYTIC)
     assert [lvl.n for lvl in res.levels] == [0, 1, 2]
     assert res.levels[1].energy_plus == math.sqrt(5.0)
     assert res.levels[1].energy_minus == -math.sqrt(5.0)
     assert all(lvl.source is Source.ANALYTIC for lvl in res.levels)
     np.testing.assert_array_equal(res.epsilon_sq_values(), [0.0, 4.0, 8.0])
     with pytest.raises(ValueError):
-        spectrum_result([4.0, 0.0], Units(), Source.NUMERIC)
+        spectrum_result([4.0, 0.0], Source.NUMERIC)
 
 
 def test_spectrum_result_tolerates_tiny_negative_numeric_level():
     # a discretized zero mode can land just below zero; the energy identity
     # must still hold on that row
-    res = spectrum_result([-2e-6, 4.0], Units(), Source.NUMERIC)
+    res = spectrum_result([-2e-6, 4.0], Source.NUMERIC)
     lvl = res.levels[0]
     assert lvl.energy_plus == math.sqrt(1.0 - 2e-6)
     assert abs(lvl.energy_plus**2 - 1.0 - lvl.epsilon_sq) < 1e-15

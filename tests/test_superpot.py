@@ -38,7 +38,7 @@ ALL_MODELS = [
 
 
 def test_oscillator_w_values():
-    # W = (m omega_T / hbar) r - (ell+1)/r; at omega_T = 1, ell = 0: W(2) = 1.5
+    # W = omega_T r - (ell+1)/r; at omega_T = 1, ell = 0: W(2) = 1.5
     sp = superpotential_from_model(oscillator_model(1.0))
     assert sp.w(2.0) == pytest.approx(1.5, abs=1e-15)
     assert sp.singular_coefficient == -1.0

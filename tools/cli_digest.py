@@ -15,8 +15,9 @@ type and message.  Diffing the digests of two source trees lists every
 invocation whose stdout bytes, exit code or message moved.  The battery
 covers every family (a custom model from a generated config included),
 every subcommand x method x format, several ``--n`` / ``--n-max`` values and
-``--checks`` subsets, small and negative grids, refusals and parameters or
-windows at the edge of the float range.
+``--checks`` subsets, small and negative grids, refusals, parameters or
+windows at the edge of the float range, and the help texts (at
+``COLUMNS=80``, so that their widths do not follow the terminal).
 """
 
 from __future__ import annotations
@@ -102,13 +103,25 @@ EXTREME = (
     ("wavefunction", "--model", "coulomb", "--n", "12", "--method", "numeric"),
 )
 
+#: config files the battery reads besides the tabulated W: text samples, a key
+#: that spectrum does not read, and booleans or a fractional point count where
+#: numbers belong
+CONFIGS = {
+    "bad.json": {"model": "custom", "grid": [0, 6, 5],
+                 "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5},
+    "stray.json": {"model": "oscillator", "checks": "isospectral"},
+    "bool_params.json": {"model": "coulomb", "kappa": True, "ell": False},
+    "bool_n_max.json": {"model": "oscillator", "n_max": True},
+    "bool_grid.json": {"model": "oscillator", "grid": [0.5, True, 11]},
+    "fraction_grid.json": {"model": "oscillator", "grid": [0.5, 3, 11.7]},
+}
 
-def battery(custom: str, bad_custom: str, stray: str) -> list:
-    """Every invocation, in a fixed order; `custom`, `bad_custom` and `stray`
-    are the paths of a tabulated-W config, of one whose samples are text and
-    of an oscillator config holding a key that spectrum does not read."""
+
+def battery(path: dict) -> list:
+    """Every invocation, in a fixed order; `path` maps "custom.json", a
+    tabulated-W config, and each name in CONFIGS to its file."""
     runs = []
-    families = [("--model", f) for f in SMALL_GRIDS] + [("--config", custom)]
+    families = [("--model", f) for f in SMALL_GRIDS] + [("--config", path["custom.json"])]
     for model in families:
         small = SMALL_GRIDS.get(model[1])
         grids = [small, *EDGE_GRIDS] if small else [None, "0.001,1,5"]
@@ -134,9 +147,17 @@ def battery(custom: str, bad_custom: str, stray: str) -> list:
         runs.append(["wavefunction", "--model", family, "--format", "json"])
         runs.append(["verify", "--model", family])
     runs.append(["verify", "--model", "coulomb", "--ell", "1", "--n-max", "6"])
-    runs.append(["spectrum", "--config", bad_custom])
-    runs.append(["spectrum", "--config", stray])
+    runs.append(["spectrum", "--config", path["bad.json"]])
+    runs.append(["spectrum", "--config", path["stray.json"]])
     runs.extend(list(argv) for argv in EXTREME)
+    runs.append(["--help"])
+    runs.extend([command, "--help"] for command in ("spectrum", "wavefunction", "partner",
+                                                     "verify"))
+    runs.append(["verify", "--config", path["bool_params.json"]])
+    runs.append(["spectrum", "--config", path["bool_n_max.json"]])
+    runs.append(["partner", "--config", path["bool_grid.json"]])
+    runs.append(["partner", "--config", path["fraction_grid.json"]])
+    runs.append(["spectrum", "--model", "oscillator", "--grid", "0.5,3,11.7"])
     return runs
 
 
@@ -160,22 +181,20 @@ def main(argv=None) -> int:
         print("usage: cli_digest.py SRC_DIR", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(args[0]))
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     from susyrad import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        custom, bad_custom, stray = (os.path.join(tmp, name) for name in
-                                     ("custom.json", "bad.json", "stray.json"))
         r = [6.0 * i / 600 for i in range(601)]
-        with open(custom, "w", encoding="utf-8") as fh:
-            json.dump({"model": "custom", "grid": "0,6,601",
-                       "w_samples": [1.0 + x + x * x for x in r],
-                       "w_prime_samples": [1.0 + 2.0 * x for x in r]}, fh)
-        with open(bad_custom, "w", encoding="utf-8") as fh:
-            json.dump({"model": "custom", "grid": [0, 6, 5],
-                       "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5}, fh)
-        with open(stray, "w", encoding="utf-8") as fh:
-            json.dump({"model": "oscillator", "checks": "isospectral"}, fh)
-        for argv_ in battery(custom, bad_custom, stray):
+        configs = {"custom.json": {"model": "custom", "grid": "0,6,601",
+                                   "w_samples": [1.0 + x + x * x for x in r],
+                                   "w_prime_samples": [1.0 + 2.0 * x for x in r]},
+                   **CONFIGS}
+        path = {name: os.path.join(tmp, name) for name in configs}
+        for name, config in configs.items():
+            with open(path[name], "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+        for argv_ in battery(path):
             code, digest, err = run(cli, argv_)
             shown = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_)
             print(f"{shown} | {code} | {digest} | {err.rstrip(chr(10)).replace(chr(10), ' / ')}")
