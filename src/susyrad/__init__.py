@@ -14,9 +14,6 @@ from .core import (
     NoBoundStateError,
     NumericError,
     RadialGrid,
-    Source,
-    SpectrumLevel,
-    SpectrumResult,
     anharmonic_model,
     coulomb_model,
     custom_model,
@@ -26,7 +23,6 @@ from .core import (
     omega_total,
     oscillator_model,
     sextic_model,
-    spectrum_result,
 )
 from .analytic import (
     RadialWavefunction,
@@ -68,9 +64,6 @@ __all__ = [
     "PartnerPotentials",
     "RadialGrid",
     "RadialWavefunction",
-    "Source",
-    "SpectrumLevel",
-    "SpectrumResult",
     "Superpotential",
     "TridiagonalOperator",
     "analytic_epsilon_sq",
@@ -95,7 +88,6 @@ __all__ = [
     "qes_numeric_spectrum",
     "quadrature",
     "sextic_model",
-    "spectrum_result",
     "sturm_count",
     "superpotential_from_model",
     "__version__",

@@ -23,10 +23,7 @@ from .core import (
     DomainError,
     ModelSpec,
     RadialGrid,
-    Source,
-    SpectrumResult,
     Superpotential,
-    spectrum_result,
 )
 from .numsolve import quadrature
 from .specfun import laguerre
@@ -78,12 +75,11 @@ def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
     return eps_sq
 
 
-def analytic_spectrum(model: ModelSpec, n_max: int) -> SpectrumResult:
-    """Levels n = 0..n_max as a SpectrumResult with analytic provenance."""
+def analytic_spectrum(model: ModelSpec, n_max: int) -> list:
+    """Closed-form epsilon^2_n for n = 0..n_max."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    eps = [analytic_epsilon_sq(model, n) for n in range(n_max + 1)]
-    return spectrum_result(eps, Source.ANALYTIC)
+    return [analytic_epsilon_sq(model, n) for n in range(n_max + 1)]
 
 
 # --------------------------------------------------------------------------

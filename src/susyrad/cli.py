@@ -36,10 +36,9 @@ from .core import (
     ModelSpec,
     NumericError,
     RadialGrid,
-    Source,
     Superpotential,
     custom_model,
-    spectrum_result,
+    epsilon_to_energy,
 )
 from .numsolve import (
     TridiagonalOperator,
@@ -257,9 +256,11 @@ def run_verification(cfg: RunConfig) -> dict:
     for name in cfg.checks:
         try:
             metric, tol, detail = _CHECK_RUNNERS[name](cfg)
+            if not math.isfinite(metric):
+                raise NumericError(f"the metric is {metric}")
             status = "pass" if metric < tol else "fail"
             metric, tol = float(metric), float(tol)
-        except Exception as exc:  # the check cannot run: "metric": null
+        except Exception as exc:  # the check cannot run, or gives no number: "metric": null
             status, metric, tol = "fail", None, None
             detail = f"error: {type(exc).__name__}: {exc}"
         entries.append({"check": name, "status": status, "metric": metric,
@@ -272,20 +273,22 @@ def run_verification(cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    model, n_max = cfg.model, cfg.n_max
     ana = nums = None
     if cfg.method in ("analytic", "both"):
-        ana = _analytic.analytic_spectrum(model, n_max).levels
+        ana = _analytic.analytic_spectrum(cfg.model, cfg.n_max)
     if cfg.method in ("numeric", "both"):
-        nums = spectrum_result(cfg.eigenvalues(n_max + 1), Source.NUMERIC).levels
+        nums = cfg.eigenvalues(cfg.n_max + 1)
 
     rows = []
-    for n in range(n_max + 1):
-        if ana is not None:
-            rows.append(dict(vars(ana[n]), source="analytic", delta=None))
-        if nums is not None:
-            delta = (nums[n].epsilon_sq - ana[n].epsilon_sq) if ana is not None else None
-            rows.append(dict(vars(nums[n]), source="numeric", delta=delta))
+    for n in range(cfg.n_max + 1):
+        for source, levels in (("analytic", ana), ("numeric", nums)):
+            if levels is None:
+                continue
+            eps_sq = float(levels[n])
+            energy_plus, energy_minus = epsilon_to_energy(eps_sq)
+            delta = eps_sq - float(ana[n]) if source == "numeric" and ana is not None else None
+            rows.append({"n": n, "epsilon_sq": eps_sq, "energy_plus": energy_plus,
+                         "energy_minus": energy_minus, "source": source, "delta": delta})
     return rows
 
 
@@ -340,8 +343,9 @@ def render_spectrum(rows, fmt: str, with_delta: bool) -> str:
 
 
 def render_samples(payload, fmt: str, columns) -> str:
-    if fmt == "json":
-        obj = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)
+    if fmt == "json":  # JSON has no NaN or infinity: a non-finite sample is null
+        obj = {k: ([float(x) if math.isfinite(x) else None for x in v]
+                   if isinstance(v, np.ndarray) else v)
                for k, v in payload.items()}
         return json.dumps(obj, indent=2) + "\n"
     arrays = [payload[c] for c in columns]

@@ -1,4 +1,4 @@
-"""Shared domain types: radial grids, model specifications, spectra.
+"""Shared domain types: radial grids, model specifications, energies.
 
 Everything downstream (superpotentials, closed-form spectra, the numerical
 solver, the CLI) works in terms of the values defined here.  All types are
@@ -213,6 +213,17 @@ def _deformed_coulomb_w(m: "ModelSpec") -> Superpotential:
                           lambda r: const + w_t * r)
 
 
+def _deformed_coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
+    """20 / max(omega_T, e2 / 2(l+1)), widened to the shorter of the Coulomb
+    (kappa = e2/2) and oscillator windows of level n_max: as omega_T -> 0 the
+    model becomes Coulomb, whose levels spread far past the zero mode."""
+    e2, w_t, n_r = m.params["e2"], m.params["omega_T"], n_max + m.ell + 1
+    coulomb = (2.0 * n_r**2 + 21.0 * n_r) / (e2 / 2.0)
+    oscillator = (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / math.sqrt(w_t) if w_t > 0 else math.inf
+    zero_mode = 20.0 / max(w_t, e2 / (2.0 * (m.ell + 1.0)))
+    return RadialGrid(1e-3, max(zero_mode, min(coulomb, oscillator)), 8001)
+
+
 def _log_r(m: "ModelSpec", r: np.ndarray) -> np.ndarray:
     if r[0] <= 0.0:
         raise DomainError(f"{m.family.value} zero mode requires r_min > 0")
@@ -316,8 +327,7 @@ FAMILIES = {
         rules=((lambda m: m.params["e2"] > 0, "deformed-coulomb requires e2 > 0"),
                (lambda m: m.params["omega_T"] >= 0, "deformed-coulomb requires omega_T >= 0")),
         superpotential=_deformed_coulomb_w,
-        window=lambda m, n_max: RadialGrid(
-            1e-3, 20.0 / max(m.params["omega_T"], m.params["e2"] / (2.0 * (m.ell + 1.0))), 8001),
+        window=_deformed_coulomb_window,
         closed_form="ground",
         log_zero_mode=lambda m, r: ((m.ell + 1.0) * _log_r(m, r)
                                     - m.params["omega_T"] * r**2 / 2.0
@@ -437,70 +447,15 @@ def epsilon_to_energy(epsilon_sq: float) -> tuple[float, float]:
     """Map the shifted squared eigenvalue to the (+E, -E) energy pair.
 
     E = sqrt(1 + epsilon_sq), the relativistic dispersion in natural units;
-    both signs are physical branches.
+    both signs are physical branches.  A numerical spectrum can put an exact
+    zero mode at a tiny negative epsilon_sq, so only 1 + epsilon_sq < 0, where
+    no real energy exists, is refused.
 
     Raises:
-        DomainError: for negative epsilon_sq (non-physical level).
-    """
-    if epsilon_sq < 0:
-        raise DomainError("epsilon_sq must be nonnegative")
-    return _energy_pair(epsilon_sq)
-
-
-def _energy_pair(epsilon_sq: float) -> tuple[float, float]:
-    """Energy pair without the sign gate.
-
-    Numerical spectra legitimately produce tiny negative epsilon_sq for an
-    exact zero mode; this helper only requires the total squared energy to
-    stay nonnegative so the E^2 - 1 = eps^2 identity holds exactly on every
-    emitted row.
+        DomainError: for epsilon_sq below -1.
     """
     arg = 1.0 + epsilon_sq
     if arg < 0:
         raise DomainError("epsilon_sq below the sub-rest-mass bound; no real energy")
     e = math.sqrt(arg)
     return (e, -e)
-
-
-# --------------------------------------------------------------------------
-# Spectra
-
-
-class Source(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class SpectrumLevel:
-    n: int
-    epsilon_sq: float
-    energy_plus: float
-    energy_minus: float
-    source: Source
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Ordered bound-state levels with provenance."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        prev = None
-        for lvl in self.levels:
-            if prev is not None and lvl.epsilon_sq < prev - 1e-9 * max(1.0, abs(prev)):
-                raise ValueError("epsilon_sq must be nondecreasing in n")
-            prev = lvl.epsilon_sq
-
-    def epsilon_sq_values(self) -> np.ndarray:
-        return np.array([lvl.epsilon_sq for lvl in self.levels])
-
-
-def spectrum_result(epsilon_sqs, source: Source) -> SpectrumResult:
-    """Assemble a SpectrumResult from epsilon^2 values for n = 0, 1, ..."""
-    levels = []
-    for n, eps2 in enumerate(epsilon_sqs):
-        ep, em = _energy_pair(float(eps2))
-        levels.append(SpectrumLevel(n, float(eps2), ep, em, source))
-    return SpectrumResult(tuple(levels))

@@ -19,9 +19,6 @@ from .core import (
     DomainError,
     ModelSpec,
     RadialGrid,
-    Source,
-    SpectrumResult,
-    spectrum_result,
 )
 from .numsolve import discretize, lowest_eigenvalues, quadrature
 from .superpot import _DECAY_CEILING, partner_potentials, superpotential_from_model
@@ -34,9 +31,10 @@ def _require_qes(model: ModelSpec, what: str) -> None:
 
 def zero_mode_residual(f0: np.ndarray, v_minus: np.ndarray, grid: RadialGrid) -> float:
     """sup |(-f0'' + V_- f0)| / sup |f0| over the grid interior, with the
-    three-point Laplacian."""
-    lap = (f0[2:] - 2.0 * f0[1:-1] + f0[:-2]) / grid.h**2
-    return float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1])) / np.max(np.abs(f0)))
+    three-point Laplacian; nan when a term leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = (f0[2:] - 2.0 * f0[1:-1] + f0[:-2]) / grid.h**2
+        return float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1])) / np.max(np.abs(f0)))
 
 
 def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
@@ -62,8 +60,8 @@ def qes_ground_state(model: ModelSpec, grid: RadialGrid) -> np.ndarray:
     return f / math.sqrt(quadrature(f * f, grid))
 
 
-def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> SpectrumResult:
-    """First k levels of the QES lower problem from the finite-difference solver.
+def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> list:
+    """First k epsilon^2 of the QES lower problem from the finite-difference solver.
 
     Level 0 should land at epsilon^2 ~ 0 up to O(h^2) and wall-truncation
     error whenever the zero mode is compatible with the Dirichlet window.
@@ -72,5 +70,4 @@ def qes_numeric_spectrum(model: ModelSpec, grid: RadialGrid, k: int) -> Spectrum
     if k < 1:
         raise ValueError("k must be at least 1")
     pp = partner_potentials(superpotential_from_model(model), grid)
-    eigs = lowest_eigenvalues(discretize(pp.v_minus, grid), k)
-    return spectrum_result(eigs, Source.NUMERIC)
+    return lowest_eigenvalues(discretize(pp.v_minus, grid), k)

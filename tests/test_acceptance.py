@@ -25,6 +25,7 @@ from susyrad import (
     deformed_coulomb_model,
     discretize,
     eigenvector,
+    epsilon_to_energy,
     lowest_eigenvalues,
     morse_model,
     oscillator_model,
@@ -180,7 +181,7 @@ def test_qes_zero_modes_solve_their_potentials_and_anchor_the_spectrum():
          RadialGrid(1e-5, 12.0, 8001)),
     ]
     for label, model, grid in level0_cases:
-        eps0 = qes_numeric_spectrum(model, grid, 1).epsilon_sq_values()[0]
+        eps0 = qes_numeric_spectrum(model, grid, 1)[0]
         assert abs(eps0) < 5e-4, f"{label}: numeric level-0 eps^2 = {eps0:.3e}"
 
 
@@ -215,21 +216,20 @@ def test_oscillator_gram_identity_and_universal_spinor_norms():
 def test_every_spectrum_row_satisfies_the_relativistic_energy_relation():
     """E^2 - 1 = eps^2 to machine precision (natural units), for analytic and
     numeric spectra alike."""
-    results = [
+    spectra = [
         analytic_spectrum(oscillator_model(1.0), 4),
         analytic_spectrum(oscillator_model(1.0, 2.0, ell=1), 3),
         analytic_spectrum(coulomb_model(1.0, 0), 3),
         analytic_spectrum(morse_model(3.0, 1.0, 3.0), 2),
         qes_numeric_spectrum(anharmonic_model(-8.0, 1.0, 1.0), RadialGrid(1e-5, 8.0, 8001), 2),
     ]
-    for spec in results:
-        for level in spec.levels:
-            for energy in (level.energy_plus, level.energy_minus):
+    for spec in spectra:
+        for n, eps_sq in enumerate(spec):
+            for energy in epsilon_to_energy(eps_sq):
                 lhs = energy * energy - 1.0
-                rhs = level.epsilon_sq
-                scale = 1.0 + abs(level.epsilon_sq)
-                assert abs(lhs - rhs) <= 4.0 * np.finfo(float).eps * scale, (
-                    f"identity violated at n={level.n}: {lhs!r} vs {rhs!r}"
+                scale = 1.0 + abs(eps_sq)
+                assert abs(lhs - eps_sq) <= 4.0 * np.finfo(float).eps * scale, (
+                    f"identity violated at n={n}: {lhs!r} vs {eps_sq!r}"
                 )
 
 

@@ -259,6 +259,20 @@ def test_partner_sextic_at_ell_0_is_finite_at_the_origin(capsys):
     assert [float(x) for x in rows[0]] == [0.0, -1.0, 1.0]
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_deformed_coulomb_at_omega_t_0_matches_coulomb_on_its_default_window(capsys, ell):
+    """omega_T = 0 leaves the Coulomb W with kappa = e2/2: its default window
+    holds levels 0-4 of that closed form."""
+    code, out, _ = run_cli(capsys, "spectrum", "--model", "deformed-coulomb", "--omega-t", "0",
+                           "--ell", str(ell), "--n-max", "4")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 5
+    for n, row in enumerate(rows):
+        exact = analytic_epsilon_sq(coulomb_model(0.5, ell), n)
+        assert abs(float(row[1]) - exact) <= 1e-3 * max(1.0, exact), (n, row[1], exact)
+
+
 def test_partner_interior_singularity_is_runtime_error(capsys):
     code, _, err = run_cli(capsys, "partner", "--model", "coulomb",
                            "--grid=-1,20,22")
@@ -814,6 +828,33 @@ def test_extreme_magnitudes_exit_with_one_error_line(argv):
                                  for e in json.loads(out)["entries"])
     else:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    *[("partner", "--model", family, "--grid", "0,5,101", "--format", "json")
+      for family in ("oscillator", "coulomb", "deformed-coulomb")],
+    ("verify", "--model", "coulomb", "--kappa=1e150"),
+], ids=" ".join)
+def test_json_output_is_strict_where_a_value_leaves_the_float_range(argv):
+    """JSON has no NaN or Infinity: a partner sample on the 1/r pole prints as
+    null, and a verify metric that is not a finite number is a check that
+    cannot run (exit 3); nothing reaches stderr and numpy warns of nothing."""
+    code, out, err, caught = _run_quietly(list(argv))
+    assert err == "" and not caught, [str(w.message) for w in caught]
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    if argv[0] == "partner":
+        assert code == 0
+        assert doc["v_minus"][0] is None and doc["v_plus"][0] is None
+        assert all(v is not None for v in doc["v_minus"][1:] + doc["v_plus"][1:])
+    else:
+        assert code == 3
+        (entry,) = [e for e in doc["entries"] if e["check"] == "ground_residual"]
+        assert entry["metric"] is None and entry["tolerance"] is None
+        assert entry["detail"].startswith("error: NumericError: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,6 @@ from susyrad import (
     ModelSpec,
     NoBoundStateError,
     RadialGrid,
-    Source,
     anharmonic_model,
     coulomb_model,
     custom_model,
@@ -22,7 +21,6 @@ from susyrad import (
     omega_total,
     oscillator_model,
     sextic_model,
-    spectrum_result,
 )
 
 
@@ -59,9 +57,15 @@ def test_epsilon_to_energy_natural_units():
     assert epsilon_to_energy(8.0) == (3.0, -3.0)
 
 
-def test_epsilon_to_energy_rejects_negative():
+def test_epsilon_to_energy_refuses_only_below_the_rest_mass():
+    # a discretized zero mode can land just below zero; the energy identity
+    # must still hold on that row
+    ep, em = epsilon_to_energy(-2e-6)
+    assert (ep, em) == (math.sqrt(1.0 - 2e-6), -math.sqrt(1.0 - 2e-6))
+    assert abs(ep**2 - 1.0 + 2e-6) < 1e-15
+    assert epsilon_to_energy(-1.0) == (0.0, -0.0)
     with pytest.raises(DomainError):
-        epsilon_to_energy(-1e-3)
+        epsilon_to_energy(-1.0 - 1e-3)
 
 
 def test_energy_identity_machine_precision():
@@ -144,23 +148,3 @@ def test_custom_model_requires_tabulated_data():
 def test_model_missing_parameters():
     with pytest.raises(ConfigurationError):
         ModelSpec(Family.MORSE, {"a": 3.0, "alpha": 1.0})
-
-
-def test_spectrum_result_assembly_and_ordering():
-    res = spectrum_result([0.0, 4.0, 8.0], Source.ANALYTIC)
-    assert [lvl.n for lvl in res.levels] == [0, 1, 2]
-    assert res.levels[1].energy_plus == math.sqrt(5.0)
-    assert res.levels[1].energy_minus == -math.sqrt(5.0)
-    assert all(lvl.source is Source.ANALYTIC for lvl in res.levels)
-    np.testing.assert_array_equal(res.epsilon_sq_values(), [0.0, 4.0, 8.0])
-    with pytest.raises(ValueError):
-        spectrum_result([4.0, 0.0], Source.NUMERIC)
-
-
-def test_spectrum_result_tolerates_tiny_negative_numeric_level():
-    # a discretized zero mode can land just below zero; the energy identity
-    # must still hold on that row
-    res = spectrum_result([-2e-6, 4.0], Source.NUMERIC)
-    lvl = res.levels[0]
-    assert lvl.energy_plus == math.sqrt(1.0 - 2e-6)
-    assert abs(lvl.energy_plus**2 - 1.0 - lvl.epsilon_sq) < 1e-15

@@ -96,6 +96,9 @@ EXTREME = (
     ("spectrum", "--bogus", "1"),
     ("spectrum", "--model", "oscillator", "--kappa", "5"),
     ("spectrum", "--model", "morse", "--ell", "3"),
+    # a residual that leaves the float range; the Coulomb limit omega_T = 0
+    ("verify", "--model", "coulomb", "--kappa=1e150"),
+    ("spectrum", "--model", "deformed-coulomb", "--omega-t", "0", "--n-max", "4"),
     # levels above the default n_max on the default window
     ("wavefunction", "--model", "coulomb", "--n", "9"),
     ("wavefunction", "--model", "coulomb", "--n", "12"),
