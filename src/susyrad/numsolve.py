@@ -4,7 +4,9 @@ This module is the oracle the closed-form results are judged against, so it
 deliberately shares no code with the analytic paths: a three-point Laplacian
 with Dirichlet walls, Sturm-sequence counts for eigenvalues, a twisted
 factorization for eigenvectors, and composite Simpson quadrature.  Plain numpy
-only.
+only.  The operator is that stencil, TridiagonalOperator(diag, grid): every
+row couples to its neighbours by -1/h^2, so a sweep reads the diagonal and one
+coupling, and the off-diagonal array `off` is derived from the grid.
 
 Eigenvalues are solved level by level, and every Sturm count is kept to
 narrow the bracket of every later level.  A Newton iteration on
@@ -23,14 +25,13 @@ node is solved recursively to a looser tolerance, and Richardson
 extrapolation of the h^2 expansion from the grids with 2h and 4h (2h alone
 next to the chain's bottom) predicts the level.  Where it strays, counts
 close in on the prediction on a log scale and isolate the level, as they do
-with no prediction (an even grid, an off-diagonal other than -1/h^2, a coarse
-operator below _COARSE_MIN_ROWS rows, a failed coarse solve), and the same
-iteration starts again from the bracket's midpoint, until the eff_tol/2
-certificate holds or the bracket is eff_tol wide.  Only the levels a caller
-reads are certified: a coarse level with a prediction is Newton's iteration
-alone, guarded by each sweep's own count.  isospectral_check starts V+ level
-i from V- level i+1, with no coarse chain, and certifies it on the V+
-operator.
+with no prediction (an even grid, a coarse operator below _COARSE_MIN_ROWS
+rows, a failed coarse solve), and the same iteration starts again from the
+bracket's midpoint, until the eff_tol/2 certificate holds or the bracket is
+eff_tol wide.  Only the levels a caller reads are certified: a coarse level
+with a prediction is Newton's iteration alone, guarded by each sweep's own
+count.  isospectral_check starts V+ level i from V- level i+1, with no coarse
+chain, and certifies it on the V+ operator.
 
 Convention: the operator is -d^2/dr^2 + V(r) acting on functions that vanish
 at both ends of the grid; eigenvalues approximate epsilon^2.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -60,40 +61,44 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal discretization on the interior grid points.
-
-    diag has n_points - 2 entries (2/h^2 + V_i), off has one fewer (-1/h^2).
-    """
+    """The three-point stencil on the interior grid points: diag has
+    n_points - 2 entries (2/h^2 + V_i), and every row couples to its
+    neighbours by the one off-diagonal entry -1/h^2."""
 
     diag: np.ndarray
-    off: np.ndarray
     grid: RadialGrid
+
+    def __post_init__(self):
+        if len(self.diag) != self.grid.n_points - 2:
+            raise ValueError("diag must have one entry per interior grid point")
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
+    @property
+    def off(self) -> np.ndarray:
+        """The off-diagonal, size - 1 entries of -1/h^2."""
+        return np.full(self.size - 1, -1.0 / self.grid.h**2)
+
     @cached_property
     def _sweep_rows(self) -> tuple:
-        """What a sweep reads: the diagonal and the squared off-diagonal
-        entries as Python floats, the squares led by 0.0 so that entry i
-        couples row i to row i-1; |e_{i-1}| as a numpy array led by 0.0
-        alike; pivmin; and `safe`, the suffix minimum of each row's
-        rounding-widened Gershgorin bottom (see sturm_count)."""
-        d = self.diag.tolist()
-        sq = self.off * self.off
-        # a uniform grid's rows share its one float object
-        e2 = [0.0] + (sq[:1].tolist() * len(sq) if np.all(sq == sq[:1]) else sq.tolist())
-        pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2))
-        e_abs = np.append(0.0, np.abs(self.off))
-        spread = e_abs + np.append(e_abs[1:], 0.0)
+        """What a sweep reads: the diagonal as Python floats; the coupling
+        e = |off| (0.0 for one row) and e^2; pivmin; and `safe`, the suffix
+        minimum of each row's rounding-widened Gershgorin bottom (see
+        sturm_count)."""
+        e = 1.0 / self.grid.h**2 if self.size > 1 else 0.0
+        e2 = e * e
+        pivmin = float(np.finfo(float).tiny) * max(1.0, e2)
+        spread = np.full(self.size, 2.0 * e)
+        spread[[0, -1]] = e  # the end rows have one neighbour
         bottom = self.diag - spread
         spread += np.abs(self.diag)
         spread *= 4.0 * _EPS
         bottom -= spread
         bottom -= 2.0 * pivmin
         safe = np.minimum.accumulate(bottom[::-1])[::-1]
-        return d, e2, e_abs, pivmin, safe
+        return self.diag.tolist(), e, e2, pivmin, safe
 
 
 def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
@@ -114,9 +119,7 @@ def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
     # a sweep squares the off-diagonal -1/h^2, so 1/h^4 must be a finite float
     if not (0.0 < h4 < math.inf and 1.0 / h4 < math.inf):
         raise DomainError(f"grid spacing {h!r} is outside the float range of the operator")
-    diag = 2.0 / h**2 + interior
-    off = np.full(grid.n_points - 3, -1.0 / h**2)
-    return TridiagonalOperator(diag=diag, off=off, grid=grid)
+    return TridiagonalOperator(diag=2.0 / h**2 + interior, grid=grid)
 
 
 def sturm_count(op: TridiagonalOperator, lam: float) -> int:
@@ -126,23 +129,22 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     factorization of (T - lam I).  A pivot smaller in magnitude than pivmin
     is clamped to -pivmin *before* the sign test (the LAPACK convention);
     clamping after miscounts when lam hits an eigenvalue of a leading minor,
-    and pivmin is scaled by max(e^2) so the following division cannot
-    overflow.
+    and pivmin is scaled by e^2 so the following division cannot overflow.
 
-    The sweep stops before row i once q_{i-1} >= |e_{i-1}| and every row
-    j >= i has d_j - |e_{j-1}| - |e_j| - 4 eps (|d_j| + |e_{j-1}| + |e_j|)
-    - 2 pivmin >= lam + 4 eps |lam|.  Then each later pivot is at least
-    |e_j| + pivmin, rounding included, so none is counted and the count
-    equals the full sweep's.
+    The sweep stops before row i once q_{i-1} >= |e| and every row j >= i
+    has d_j - |e_{j-1}| - |e_j| - 4 eps (|d_j| + |e_{j-1}| + |e_j|) - 2 pivmin
+    >= lam + 4 eps |lam|, e_{-1} and e_{n-1} being 0.  Then each later pivot is
+    at least |e| + pivmin, rounding included, so none is counted and the
+    count equals the full sweep's.  Row 0 reads e^2/inf = 0.
     """
-    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
+    d, e, e2, pivmin, safe = op._sweep_rows
     tail = int(np.searchsorted(safe, lam + 4.0 * _EPS * abs(lam)))
-    rows, n = zip(d, e2_all), len(d)
+    rows, n = iter(d), len(d)
     count, q, i, block = 0, math.inf, 0, tail
     # rows go in blocks, and the exit test runs between blocks: once it
     # holds it holds for every later row, so testing late changes nothing
-    while i < n and (i < tail or q < e_abs[i]):
-        for di, e2 in islice(rows, block):
+    while i < n and (i < tail or q < e):
+        for di in islice(rows, block):
             q = di - lam - e2 / q
             if q < pivmin:  # q <= 0, or |q| < pivmin and clamped to -pivmin
                 count += 1
@@ -166,12 +168,12 @@ def _newton_sweep(op: TridiagonalOperator, lam: float) -> tuple:
     the sweep runs max(m - tail, _EXIT_TEST_ROWS) rows more, twice as deep
     past tail, which brings that gap to about |lam - mu|^2, Newton's own error.
     """
-    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
+    d, e, e2, pivmin, safe = op._sweep_rows
     tail = int(np.searchsorted(safe, lam + 4.0 * _EPS * abs(lam)))
-    rows, n = zip(d, e2_all), len(d)
+    rows, n = iter(d), len(d)
     count, q, t, slope, i, block, stop = 0, math.inf, 0.0, 0.0, 0, tail, n
     while i < stop:
-        for di, e2 in islice(rows, block):
+        for di in islice(rows, block):
             g = e2 / q
             q = di - lam - g
             if q < pivmin:
@@ -182,7 +184,7 @@ def _newton_sweep(op: TridiagonalOperator, lam: float) -> tuple:
             slope += t
         i += block
         block = _EXIT_TEST_ROWS
-        if stop == n and tail <= i < n and q >= e_abs[i]:  # sturm_count stops here
+        if stop == n and tail <= i < n and q >= e:  # sturm_count stops here
             block = max(i - tail, _EXIT_TEST_ROWS)
             stop = i + block
     return count, slope
@@ -202,8 +204,7 @@ class _LevelSolver:
     """
 
     def __init__(self, op: TridiagonalOperator, tol: float, predictions=()):
-        n = op.size
-        max_off = float(np.max(np.abs(op.off))) if n > 1 else 0.0
+        n, max_off = op.size, op._sweep_rows[1]
         lo = float(np.min(op.diag)) - 2.0 * max_off
         self.op = op
         self.hi = float(np.max(op.diag)) + 2.0 * max_off
@@ -342,18 +343,15 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
 
 
 def _coarsened(op: TridiagonalOperator):
-    """discretize's operator on every other node of the same grid, or None
-    where op is not discretize's stencil on an odd grid, or where the coarse
-    operator would have fewer than _COARSE_MIN_ROWS rows."""
+    """The same stencil on every other node of the same grid, or None on an
+    even grid, or where the coarse operator would have fewer than
+    _COARSE_MIN_ROWS rows."""
     grid = op.grid
-    if grid.n_points % 2 == 0 or op.size != grid.n_points - 2:
-        return None
-    if (op.size - 1) // 2 < _COARSE_MIN_ROWS or not np.all(op.off == -1.0 / grid.h**2):
+    if grid.n_points % 2 == 0 or (op.size - 1) // 2 < _COARSE_MIN_ROWS:
         return None
     coarse = RadialGrid(grid.r_min, grid.r_max, (grid.n_points + 1) // 2)
     # the diagonal keeps V at the shared nodes and swaps 2/h^2 for 2/(2h)^2
-    return TridiagonalOperator(diag=op.diag[1::2] - 2.0 / grid.h**2 + 2.0 / coarse.h**2,
-                               off=np.full(coarse.n_points - 3, -1.0 / coarse.h**2), grid=coarse)
+    return TridiagonalOperator(diag=op.diag[1::2] - 2.0 / grid.h**2 + 2.0 / coarse.h**2, grid=coarse)
 
 
 def _predictions(op: TridiagonalOperator, k: int, tol: float) -> tuple:
@@ -380,11 +378,11 @@ def _predictions(op: TridiagonalOperator, k: int, tol: float) -> tuple:
     return [c1 + 0.25 * (c1 - c2) for c1, c2 in zip(c1s, c2s)] + c1s[len(c2s):], c1s
 
 
-def _pivots(rows, lam: float, pivmin: float, q: float = math.inf):
-    """LDL^T pivots of (T - lam I) down the given (d_i, e_{i-1}^2) rows, after
+def _pivots(d, lam: float, e2: float, pivmin: float, q: float = math.inf):
+    """LDL^T pivots of (T - lam I) down the given diagonal entries d_i, after
     the pivot q; a pivot smaller in magnitude than pivmin is replaced by
     -pivmin, as in sturm_count.  A generator, read by np.fromiter."""
-    for di, e2 in rows:
+    for di in d:
         q = di - lam - e2 / q
         if -pivmin < q < pivmin:
             q = -pivmin
@@ -395,25 +393,25 @@ def _forward_pivots(op: TridiagonalOperator, lam: float, minus: np.ndarray) -> n
     """The forward pivots D+ of (T - lam I) down to the row past which no
     twist can lie, given the backward pivots D-.
 
-    Past sturm_count's exit row m, every forward pivot is at least |e_j| and,
+    Past sturm_count's exit row m, every forward pivot is at least |e| and,
     since each later row is Gershgorin-safe, so is every backward one; then
-    gamma_j = d_j - lam - e_{j-1}^2/D+_{j-1} - e_j^2/D-_{j+1} is at least
-    d_j - |e_{j-1}| - |e_j| - lam >= safe[m] - lam.  As computed, with rounding,
-    it is at least safe[m] - lam - slack, slack = 16 eps (max|d| + 2 max|e| +
-    |lam|).  So the sweep stops at such a row m once safe[m] - lam - slack
-    exceeds the least |gamma| of the rows before it: the twist, the first
-    least |gamma|, lies before m, and the vector reads no pivot past it.
+    gamma_j = d_j - lam - e^2/D+_{j-1} - e^2/D-_{j+1} is at least
+    d_j - 2|e| - lam >= safe[m] - lam.  As computed, with rounding, it is at
+    least safe[m] - lam - slack, slack = 16 eps (max|d| + 2|e| + |lam|).  So
+    the sweep stops at such a row m once safe[m] - lam - slack exceeds the
+    least |gamma| of the rows before it: the twist, the first least |gamma|,
+    lies before m, and the vector reads no pivot past it.
     """
-    d, e2_all, e_abs, pivmin, safe = op._sweep_rows
-    slack = 16.0 * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(e_abs)) + abs(lam))
+    d, e, e2, pivmin, safe = op._sweep_rows
+    slack = 16.0 * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * e + abs(lam))
     tail = int(np.searchsorted(safe, lam + slack))
-    rows, n, base = zip(d, e2_all), len(d), op.diag - lam
+    rows, n, base = iter(d), len(d), op.diag - lam
     plus, q, m, least, seen, block = np.empty(n), math.inf, 0, math.inf, 0, max(tail, 1)
     while m < n:
         b = min(block, n - m)
-        plus[m:m + b] = np.fromiter(_pivots(islice(rows, b), lam, pivmin, q), float, b)
+        plus[m:m + b] = np.fromiter(_pivots(islice(rows, b), lam, e2, pivmin, q), float, b)
         m, q, block = m + b, float(plus[m + b - 1]), _EXIT_TEST_ROWS
-        if m < n and q >= e_abs[m]:  # sturm_count stops here
+        if m < n and q >= e:  # sturm_count stops here
             with np.errstate(over="ignore", invalid="ignore"):
                 gamma = plus[seen:m] + minus[seen:m] - base[seen:m]
             least, seen = float(np.min(np.abs(gamma), initial=least)), m
@@ -460,20 +458,19 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     positive.  Raises NumericError if the vector overflows or the residual
     check fails.
     """
-    d, e2_all, _, pivmin, _ = op._sweep_rows
+    d, e, e2, pivmin, _ = op._sweep_rows
     bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
     shift = lam
     for retry in (False, True):
-        backward = zip(reversed(d), chain([0.0], reversed(e2_all)))
-        minus = np.fromiter(_pivots(backward, shift, pivmin), float, op.size)[::-1]
+        minus = np.fromiter(_pivots(reversed(d), shift, e2, pivmin), float, op.size)[::-1]
         plus = _forward_pivots(op, shift, minus)
         m = len(plus)
         with np.errstate(over="ignore", invalid="ignore"):
             gamma = plus + minus[:m] - (op.diag[:m] - shift)
             r = int(np.argmin(np.abs(gamma)))
             z = np.ones(op.size)
-            z[:r] = np.cumprod((-op.off[:r] / plus[:r])[::-1])[::-1]
-            z[r + 1:] = np.cumprod(-op.off[r:] / minus[r + 1:])
+            z[:r] = np.cumprod((e / plus[:r])[::-1])[::-1]
+            z[r + 1:] = np.cumprod(e / minus[r + 1:])
         if not np.all(np.isfinite(z)):
             raise NumericError(f"twisted factorization overflows at shift {lam!r}")
         x = z / np.max(np.abs(z))

@@ -144,10 +144,14 @@ def battery(path: dict) -> list:
             for checks in CHECK_SUBSETS:
                 runs.append(["verify", *where, "--checks", checks])
             runs.append(["spectrum", *where, "--checks", "analytic_vs_numeric"])
-    # the default window of every built-in family
+    # the default window of every built-in family, with numeric eigenvectors
+    # (the twisted factorization) on each
     for family in SMALL_GRIDS:
         runs.append(["spectrum", "--model", family])
         runs.append(["wavefunction", "--model", family, "--format", "json"])
+        for n in ("0", "2"):
+            runs.append(["wavefunction", "--model", family, "--method", "numeric",
+                         "--format", "json", "--n", n])
         runs.append(["verify", "--model", family])
     runs.append(["verify", "--model", "coulomb", "--ell", "1", "--n-max", "6"])
     runs.append(["spectrum", "--config", path["bad.json"]])
