@@ -29,6 +29,7 @@ from .analytic import (
     analytic_epsilon_sq,
     analytic_spectrum,
     analytic_wavefunctions,
+    closed_form_state,
 )
 from .numsolve import (
     TridiagonalOperator,
@@ -71,6 +72,7 @@ __all__ = [
     "analytic_wavefunctions",
     "anharmonic_model",
     "apply_lowering",
+    "closed_form_state",
     "coulomb_model",
     "cumulative_quadrature",
     "custom_model",

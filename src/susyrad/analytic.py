@@ -2,9 +2,10 @@
 
 Three families admit a full analytic solution: the (magnetic) oscillator,
 the Coulomb problem and the Morse well.  Each lower-partner state is a
-Laguerre envelope whose variable, power and order the family record holds;
-the upper component is produced by the lowering operator and the pair is
-normalized jointly, int (f_-^2 + f_+^2) dr = 1.
+Laguerre envelope whose variable, power and order the family record holds
+(a QES family's record holds only its zero mode); closed_form_state samples
+either.  The upper component is produced by the lowering operator and the
+pair is normalized jointly, int (f_-^2 + f_+^2) dr = 1.
 
 All epsilon^2 values are the shifted squared eigenvalues of
 -f'' + V_- f = eps^2 f, in natural units; core.epsilon_to_energy maps them to
@@ -86,33 +87,36 @@ def analytic_spectrum(model: ModelSpec, n_max: int) -> list:
 # Wavefunctions
 
 
-def _laguerre_envelope(k_power: float, z: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    """z^k e^{-z/2} L_n^alpha(z), evaluated in log form and peak-shifted."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = k_power * np.log(z) - 0.5 * z
-    g = np.where(np.isfinite(g), g, -np.inf)
+def closed_form_state(model: ModelSpec, n: int, grid: RadialGrid) -> np.ndarray:
+    """Lower component of level n from the family record, its envelope peaking
+    at 1: z^k e^{-z/2} L_n^alpha(z), (k, z, alpha) = record.envelope, for an
+    "all" family; exp(log_zero_mode) at n = 0 for a "ground" family.  At a c/r
+    pole of W (c < 0) at r = 0 the state goes as r^{-c}: its sample there is 0.
+    Refuses levels as analytic_epsilon_sq does."""
+    analytic_epsilon_sq(model, n)
+    record, r = model.record, grid.points()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if record.closed_form == "all":
+            k_power, z, alpha = record.envelope(model, n, r)
+            g = k_power * np.log(z) - 0.5 * z
+        else:
+            g = record.log_zero_mode(model, r)
+    # log 0 at a pole is -inf; nan comes from a zero coefficient times an
+    # overflow, or two overflows where the decaying term wins: take it as -inf
+    g = np.where(np.isnan(g), -np.inf, g)
     g_max = float(np.max(g))
     if not math.isfinite(g_max):
         raise DomainError("wavefunction envelope degenerate on this grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(g - g_max) * laguerre(n, alpha, z)
+        f = np.exp(g - g_max)
+        return f * laguerre(n, alpha, z) if record.closed_form == "all" else f
 
 
 def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> RadialWavefunction:
-    """Level n of a solvable family from the Laguerre envelope in its record.
-
-    f_- is z^k e^{-z/2} L_n^alpha(z) with (k, z, alpha) = record.envelope;
-    f_+ is its image under the lowering operator divided by epsilon.
-    """
-    if model.record.closed_form != "all":
-        raise ConfigurationError(f"{model.family.value} has no closed-form excited wavefunctions")
-    eps_sq = analytic_epsilon_sq(model, n)  # also validates n and a finite tower
-    sp = superpotential_from_model(model)
-    if sp.singular_coefficient != 0.0 and grid.r_min <= 0.0:
-        raise DomainError(f"{model.family.value} wavefunctions require r_min > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_power, z, alpha = model.record.envelope(model, n, grid.points())
-    return spinor_from_lower(sp, _laguerre_envelope(k_power, z, n, alpha), n, eps_sq, grid)
+    """Level n of the closed_form_state as a spinor: f_+ is the image of f_-
+    under the lowering operator divided by epsilon (zero at n = 0)."""
+    return spinor_from_lower(superpotential_from_model(model), closed_form_state(model, n, grid),
+                             n, analytic_epsilon_sq(model, n), grid)
 
 
 def spinor_from_lower(sp: Superpotential, f_minus: np.ndarray, n: int, eps_sq: float,

@@ -52,6 +52,7 @@ from .superpot import (
     PartnerPotentials,
     apply_lowering,
     ground_state_from_w,
+    normalized_zero_mode,
     partner_potentials,
     superpotential_from_model,
 )
@@ -121,10 +122,11 @@ class RunConfig:
 
     @cached_property
     def zero_mode(self) -> np.ndarray:
-        """Closed-form zero mode: the QES formula, else exp(-int W)."""
-        if self.model.is_qes:
-            return _qes.qes_ground_state(self.model, self.grid)
-        return ground_state_from_w(self.superpotential, self.grid)
+        """Normalized zero mode: the record's closed form, else exp(-int W)."""
+        if self.model.record.closed_form == "none":
+            return ground_state_from_w(self.superpotential, self.grid)
+        f0 = _analytic.closed_form_state(self.model, 0, self.grid)
+        return normalized_zero_mode(f0, self.grid)
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +178,8 @@ def _check_orthonormal(cfg):
         # numeric eigenvectors, compared in the discrete l2(h) inner product
         h = grid.h
         vs = [cfg.eigenvector(i) for i in range(3)]
-        vecs = [v / math.sqrt(h * float(v @ v)) for v in vs]
-        gram = h * np.array([[vi @ vj for vj in vecs] for vi in vecs])
+        vecs = [v / math.sqrt(h * float((v * v).sum())) for v in vs]
+        gram = h * np.array([[(vi * vj).sum() for vj in vecs] for vi in vecs])
         tol, detail = 1e-8, "l2(h) Gram of numeric levels 0-2"
     return float(np.max(np.abs(gram - np.eye(len(vecs))))), tol, detail
 
@@ -235,9 +237,9 @@ _CHECK_RUNNERS = {name: check.run for name, check in CHECKS.items()}
 def default_checks(model: ModelSpec, grid: RadialGrid, cfg: RunConfig | None = None) -> tuple:
     """Checks whose premises hold for this model on this window, judged on
     cfg.zero_mode, the array the checks read (a fresh RunConfig's if no cfg).
-    The zero mode exists when it can be built and decays by r_max (a 1/r pole
-    in W needs r_min > 0); the Dirichlet wall at r_min is clear when the zero
-    mode there is below 1e-3 of its peak."""
+    The zero mode exists when it can be built and decays by r_max; the
+    Dirichlet wall at r_min is clear when the zero mode there is below 1e-3 of
+    its peak (on a 1/r pole of W at r_min = 0 it is 0, its limit)."""
     try:
         f0 = (cfg or RunConfig(model, grid)).zero_mode
         has_zero_mode, wall_clear = True, abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
@@ -528,6 +530,9 @@ def resolve_config(args) -> RunConfig:
             raise UsageError("--n-max must be nonnegative")
         if grid_setting is not None:
             grid = _parse_grid(grid_setting)
+            if record.has_ell and grid.r_min < 0:
+                raise UsageError(f"{family.value} is radial: the grid needs r_min >= 0, "
+                                 f"got {grid.r_min!r}")
         else:  # the window holds the highest level the run reads
             grid = default_grid(model, max(n_max, VERIFY_TOP_LEVEL if verify else n))
     except (ConfigurationError, DomainError, NumericError, OverflowError) as exc:

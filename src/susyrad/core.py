@@ -79,17 +79,10 @@ def omega_total(omega: float, B: float) -> float:
 
 @dataclass(frozen=True)
 class Superpotential:
-    """W(r) with its derivative and singular/regular split.
-
-    `singular_coefficient` is the total coefficient of 1/r in W (angular plus
-    any centrifugal-like part of v); `w_regular` is W minus that singular
-    term, which stays finite at the origin and integrates cleanly.
-    """
+    """W(r) and its derivative W'(r)."""
 
     w: Callable
     w_prime: Callable
-    singular_coefficient: float
-    w_regular: Callable
 
 
 @dataclass(frozen=True)
@@ -131,8 +124,7 @@ def _omega_t(m: "ModelSpec") -> float:
 def _oscillator_w(m: "ModelSpec") -> Superpotential:
     w_t = _omega_t(m)
     c = -(m.ell + 1.0)
-    return Superpotential(lambda r: w_t * r + c / r, lambda r: w_t - c / r**2, c,
-                          lambda r: w_t * r)
+    return Superpotential(lambda r: w_t * r + c / r, lambda r: w_t - c / r**2)
 
 
 def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
@@ -143,8 +135,7 @@ def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
 def _coulomb_w(m: "ModelSpec") -> Superpotential:
     const = m.params["kappa"] / (m.ell + 1.0)
     c = -(m.ell + 1.0)
-    return Superpotential(lambda r: const + c / r, lambda r: -c / r**2, c,
-                          lambda r: const + 0.0 * r)
+    return Superpotential(lambda r: const + c / r, lambda r: -c / r**2)
 
 
 def _coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
@@ -154,8 +145,8 @@ def _coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
 
 def _morse_w(m: "ModelSpec") -> Superpotential:
     a, alpha, b = m.params["a"], m.params["alpha"], m.params["b"]
-    w = lambda r: b - a * np.exp(-alpha * r)
-    return Superpotential(w, lambda r: a * alpha * np.exp(-alpha * r), 0.0, w)
+    return Superpotential(lambda r: b - a * np.exp(-alpha * r),
+                          lambda r: a * alpha * np.exp(-alpha * r))
 
 
 def _morse_top(m: "ModelSpec") -> float:
@@ -190,27 +181,22 @@ def _morse_window(m: "ModelSpec", n_max: int) -> RadialGrid:
 
 def _anharmonic_w(m: "ModelSpec") -> Superpotential:
     a, w_t, b = m.params["a"], m.params["omega_T"], m.params["b"]
-    w = lambda r: a + w_t * r + b * r**2
-    return Superpotential(w, lambda r: w_t + 2.0 * b * r, 0.0, w)
+    return Superpotential(lambda r: a + w_t * r + b * r**2, lambda r: w_t + 2.0 * b * r)
 
 
 def _sextic_w(m: "ModelSpec") -> Superpotential:
-    w_t, b = m.params["omega_T"], m.params["b"]
-    regular = lambda r: w_t * r + b * r**3
-    regular_prime = lambda r: w_t + 3.0 * b * r**2
+    w_t, b, c = m.params["omega_T"], m.params["b"], -float(m.ell)
     if m.ell == 0:  # no 1/r term: W is regular at the origin
-        return Superpotential(regular, regular_prime, 0.0, regular)
-    c = -float(m.ell)
-    return Superpotential(lambda r: c / r + regular(r), lambda r: -c / r**2 + regular_prime(r),
-                          c, regular)
+        return Superpotential(lambda r: w_t * r + b * r**3, lambda r: w_t + 3.0 * b * r**2)
+    return Superpotential(lambda r: c / r + (w_t * r + b * r**3),
+                          lambda r: -c / r**2 + (w_t + 3.0 * b * r**2))
 
 
 def _deformed_coulomb_w(m: "ModelSpec") -> Superpotential:
     const = m.params["e2"] / (2.0 * (m.ell + 1.0))
     w_t = m.params["omega_T"]
     c = -(m.ell + 1.0)
-    return Superpotential(lambda r: const + c / r + w_t * r, lambda r: -c / r**2 + w_t, c,
-                          lambda r: const + w_t * r)
+    return Superpotential(lambda r: const + c / r + w_t * r, lambda r: -c / r**2 + w_t)
 
 
 def _deformed_coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
@@ -222,12 +208,6 @@ def _deformed_coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
     oscillator = (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / math.sqrt(w_t) if w_t > 0 else math.inf
     zero_mode = 20.0 / max(w_t, e2 / (2.0 * (m.ell + 1.0)))
     return RadialGrid(1e-3, max(zero_mode, min(coulomb, oscillator)), 8001)
-
-
-def _log_r(m: "ModelSpec", r: np.ndarray) -> np.ndarray:
-    if r[0] <= 0.0:
-        raise DomainError(f"{m.family.value} zero mode requires r_min > 0")
-    return np.log(r)
 
 
 def _decay_r_max(m: "ModelSpec", r_lo: float) -> float:
@@ -261,8 +241,8 @@ def _custom_w(m: "ModelSpec") -> Superpotential:
             return float(out) if np.isscalar(r) else out
         return f
 
-    w = interpolant(m.params["w_samples"])
-    return Superpotential(w, interpolant(m.params["w_prime_samples"]), 0.0, w)
+    return Superpotential(interpolant(m.params["w_samples"]),
+                          interpolant(m.params["w_prime_samples"]))
 
 
 FAMILIES = {
@@ -319,7 +299,7 @@ FAMILIES = {
         superpotential=_sextic_w,
         window=lambda m, n_max: RadialGrid(1e-5, _decay_r_max(m, 1e-5), 6001),
         closed_form="ground",
-        log_zero_mode=lambda m, r: ((m.ell * _log_r(m, r) if m.ell else 0.0)
+        log_zero_mode=lambda m, r: ((m.ell * np.log(r) if m.ell else 0.0)
                                     - m.params["omega_T"] * r**2 / 2.0 - m.params["b"] * r**4 / 4.0),
     ),
     Family.DEFORMED_COULOMB_QES: FamilyRecord(
@@ -329,7 +309,7 @@ FAMILIES = {
         superpotential=_deformed_coulomb_w,
         window=_deformed_coulomb_window,
         closed_form="ground",
-        log_zero_mode=lambda m, r: ((m.ell + 1.0) * _log_r(m, r)
+        log_zero_mode=lambda m, r: ((m.ell + 1.0) * np.log(r)
                                     - m.params["omega_T"] * r**2 / 2.0
                                     - m.params["e2"] * r / (2.0 * (m.ell + 1.0))),
     ),

@@ -59,11 +59,12 @@ _COARSE_TOL = 1e-5
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """The three-point stencil on the interior grid points: diag has
     n_points - 2 entries (2/h^2 + V_i), and every row couples to its
-    neighbours by the one off-diagonal entry -1/h^2."""
+    neighbours by the one off-diagonal entry -1/h^2.  Operators compare and
+    hash by identity (an ndarray field has no truth value or hash)."""
 
     diag: np.ndarray
     grid: RadialGrid
@@ -474,8 +475,9 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
         if not np.all(np.isfinite(z)):
             raise NumericError(f"twisted factorization overflows at shift {lam!r}")
         x = z / np.max(np.abs(z))
-        x /= np.linalg.norm(x)
-        residual = float(np.linalg.norm(_matvec(op, x) - shift * x))
+        x /= math.sqrt(float((x * x).sum()))
+        res = _matvec(op, x) - shift * x
+        residual = math.sqrt(float((res * res).sum()))
         step = float(gamma[r]) * float(x[r]) ** 2
         if residual <= 10.0 * bound or retry or not abs(step) <= bound:
             break
@@ -508,10 +510,9 @@ def quadrature(f_samples, grid: RadialGrid) -> float:
 
 
 def _simpson_odd(y, h) -> float:
-    w = np.ones(len(y))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(h / 3.0 * (w @ y))
+    # numpy's pairwise sums, not a BLAS dot: the bytes do not follow the
+    # BLAS thread count
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
 def cumulative_quadrature(f_samples, grid: RadialGrid) -> np.ndarray:

@@ -86,30 +86,22 @@ def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarra
 
 
 def ground_state_from_w(sp: Superpotential, grid: RadialGrid) -> np.ndarray:
-    """Normalized lower-partner zero mode f_0 = exp(-int W) from W alone.
-
-    The 1/r part of W is integrated in closed form (a power-law prefactor);
-    the regular remainder goes through cumulative Simpson quadrature, which
-    is exact for the polynomial superpotentials.  Raises DomainError when
-    int W leaves the float range on the grid, or when the result fails to
-    decay at r_max (non-normalizable zero mode on this window, e.g. a
-    sign-flipped W).
-    """
-    r = grid.points()
+    """Normalized zero mode f_0 = exp(-int W) by cumulative Simpson quadrature,
+    for a W that is finite on the grid (a tabulated one).  Raises DomainError
+    when int W leaves the float range, or as normalized_zero_mode."""
     with np.errstate(over="ignore", invalid="ignore"):
-        exponent = -cumulative_quadrature(_sample(sp.w_regular, r), grid)
+        exponent = -cumulative_quadrature(_sample(sp.w, grid.points()), grid)
     if not np.all(np.isfinite(exponent)):
         raise DomainError("exp(-int W) leaves the float range on this grid")
-    c = sp.singular_coefficient
-    if c != 0.0:
-        if grid.r_min <= 0.0:
-            raise DomainError("singular superpotential requires r_min > 0")
-        exponent = exponent - c * np.log(r / grid.r_min)
-    exponent -= np.max(exponent)
-    f = np.exp(exponent)
-    if f[-1] > _DECAY_CEILING:
+    return normalized_zero_mode(np.exp(exponent - np.max(exponent)), grid)
+
+
+def normalized_zero_mode(f0: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """A zero mode sampled with peak 1, scaled to unit norm.  Raises
+    DomainError when it has not decayed by r_max (window too short, or a
+    non-normalizable zero mode such as that of a sign-flipped W)."""
+    if f0[-1] > _DECAY_CEILING:
         raise DomainError(
-            "exp(-int W) does not decay at r_max; the zero mode is not "
-            "normalizable on this window"
+            "zero mode does not decay at r_max; enlarge the window or check parameters"
         )
-    return f / math.sqrt(quadrature(f * f, grid))
+    return f0 / math.sqrt(quadrature(f0 * f0, grid))

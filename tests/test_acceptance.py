@@ -321,3 +321,25 @@ def test_default_verify_passes_across_each_family_parameter_range(argv, capsys):
     code = main(["verify", "--model", *argv])
     failed = [e for e in json.loads(capsys.readouterr().out)["entries"] if e["status"] != "pass"]
     assert code == 0 and not failed, failed
+
+
+#: windows that start at the c/r pole of W, where the SUSY wall condition
+#: (d/dr + W) f = 0 is plain Dirichlet because f goes as r^{-c}
+POLE_WINDOWS = [
+    ("oscillator", "--grid", "0,12.47,2801"),
+    ("coulomb", "--grid", "0,155,16001"),
+    ("deformed-coulomb", "--grid", "0,20,8001"),
+    ("sextic", "--ell", "1", "--grid", "0,6,6001"),
+]
+
+
+@pytest.mark.parametrize("argv", POLE_WINDOWS, ids=" ".join)
+def test_default_verify_from_the_pole_at_r_0_runs_and_passes_all_five_checks(argv, capsys):
+    """The closed-form states take their limit 0 at the pole, so every check
+    has its premises and gives a number."""
+    code = main(["verify", "--model", *argv])
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["check"] for e in entries] == ["isospectral", "intertwine", "orthonormal",
+                                             "ground_residual", "analytic_vs_numeric"]
+    assert all(e["metric"] is not None and e["status"] == "pass" for e in entries), entries
+    assert code == 0

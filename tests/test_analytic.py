@@ -13,6 +13,7 @@ from susyrad import (
     analytic_spectrum,
     analytic_wavefunctions,
     anharmonic_model,
+    closed_form_state,
     coulomb_model,
     custom_model,
     discretize,
@@ -81,6 +82,14 @@ def test_qes_families_only_expose_the_zero_mode():
     assert analytic_epsilon_sq(m, 0) == 0.0
     with pytest.raises(ConfigurationError):
         analytic_epsilon_sq(m, 1)
+    grid = RadialGrid(0.0, 8.0, 801)
+    r = grid.points()
+    f = closed_form_state(m, 0, grid)
+    np.testing.assert_allclose(f, np.exp(-r**3 / 3.0 - r**2 / 2.0 - r), rtol=1e-13)
+    wf = analytic_wavefunctions(m, 0, grid)
+    assert wf.epsilon_sq == 0.0 and not np.any(wf.f_plus)
+    with pytest.raises(ConfigurationError):
+        closed_form_state(m, 1, grid)
 
 
 def test_custom_family_has_no_closed_form():
@@ -91,6 +100,8 @@ def test_custom_family_has_no_closed_form():
         analytic_epsilon_sq(m, 0)
     with pytest.raises(ConfigurationError):
         analytic_wavefunctions(m, 0, grid)
+    with pytest.raises(ConfigurationError):
+        closed_form_state(m, 0, grid)
 
 
 def test_negative_level_rejected():
@@ -237,12 +248,25 @@ def test_analytic_levels_match_numeric_solver(model, grid, count, bound):
         assert abs(eigs[n] - ana) / max(1.0, abs(ana)) < bound
 
 
-def test_wavefunctions_require_open_origin_for_singular_families():
-    from susyrad import DomainError
-    with pytest.raises(DomainError):
-        analytic_wavefunctions(oscillator_model(1.0), 0, RadialGrid(0.0, 12.0, 1201))
-    with pytest.raises(DomainError):
-        analytic_wavefunctions(coulomb_model(1.0), 0, RadialGrid(0.0, 40.0, 401))
+@pytest.mark.parametrize("model,r_max,n_points", [
+    (oscillator_model(1.0), 12.0, 1201),
+    (oscillator_model(1.0, ell=1), 12.0, 1201),
+    (coulomb_model(1.0), 40.0, 4001),
+    (coulomb_model(1.0, ell=1), 60.0, 6001),
+])
+def test_wavefunctions_from_r_0_take_the_limit_at_the_pole(model, r_max, n_points):
+    """W's c/r pole sits at a wall at r = 0: f_- goes as r^{l+1} and f_+ as
+    r^{l+2}, so both sample to 0 there, and f_- has, up to rounding, the shape
+    that a window from just above r = 0 gives."""
+    grid = RadialGrid(0.0, r_max, n_points)
+    for n in range(3):
+        wf = analytic_wavefunctions(model, n, grid)
+        near = closed_form_state(model, n, RadialGrid(1e-300, r_max, n_points))
+        assert wf.f_minus[0] == 0.0 and wf.f_plus[0] == 0.0
+        assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid)),
+                                   near / math.sqrt(quadrature(near**2, grid)),
+                                   rtol=0, atol=1e-12)
 
 
 def test_morse_level_beyond_tower_raises():

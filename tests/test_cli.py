@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -29,7 +32,7 @@ from susyrad import (
     oscillator_model,
     sextic_model,
 )
-from susyrad import numsolve, qes, superpot
+from susyrad import analytic, numsolve, superpot
 from susyrad.core import FAMILIES
 
 
@@ -273,11 +276,22 @@ def test_deformed_coulomb_at_omega_t_0_matches_coulomb_on_its_default_window(cap
         assert abs(float(row[1]) - exact) <= 1e-3 * max(1.0, exact), (n, row[1], exact)
 
 
-def test_partner_interior_singularity_is_runtime_error(capsys):
-    code, _, err = run_cli(capsys, "partner", "--model", "coulomb",
-                           "--grid=-1,20,22")
-    assert code == 3
-    assert "singular" in err
+@pytest.mark.parametrize("family", [f.value for f, r in FAMILIES.items() if r.has_ell])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_radial_family_refuses_a_grid_below_r_0(capsys, family, command):
+    """A family with l lives on r >= 0, and its W has its pole at r = 0: a
+    window that crosses it is one usage error, before any output."""
+    code, out, err = run_cli(capsys, command, "--model", family, "--grid=-1,5,101")
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} is radial: the grid needs r_min >= 0, got -1.0\n"
+
+
+@pytest.mark.parametrize("family", [f.value for f, r in FAMILIES.items()
+                                    if not r.has_ell and f is not Family.CUSTOM])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_family_without_l_takes_a_grid_below_r_0(capsys, family, command):
+    code, out, err = run_cli(capsys, command, "--model", family, "--grid=-1,5,101")
+    assert code == 0 and out and err == ""
 
 
 # ----------------------------------------------------------------- verify
@@ -307,8 +321,9 @@ def test_verify_wall_incompatible_zero_mode_trims_default_checks(capsys):
 
 @pytest.mark.parametrize("family", ["oscillator", "coulomb"])
 def test_verify_leaves_out_checks_whose_zero_mode_is_missing(capsys, family):
-    # a 1/r pole in W has no zero mode on a grid from r = 0, so the checks that
-    # read closed-form states are left out by default instead of erroring
+    # the zero mode has not decayed by r = 5, so it is not normalizable on this
+    # window and the checks that read closed-form states are left out by
+    # default instead of erroring
     code, out, err = run_cli(capsys, "verify", "--model", family, "--grid", "0,5,101")
     assert code == 0 and err == ""
     doc = json.loads(out)
@@ -436,16 +451,27 @@ def test_infrastructure_failure_names_the_exception_type(capsys, monkeypatch):
 
 @pytest.mark.parametrize("family", [f.value for f in Family])
 def test_default_verify_builds_the_zero_mode_once(capsys, monkeypatch, tmp_path, family):
-    """The verify premises and the checks read one closed-form zero mode."""
-    builds = []
+    """The verify premises and the checks read one zero mode: the record's
+    closed form, or exp(-int W) for custom."""
+    builds, gram = [], []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            builds.append(fn.__name__)
+            if not gram:  # not a level of the orthonormal check's Gram
+                builds.append(fn.__name__)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(qes, "qes_ground_state", counted(qes.qes_ground_state))
+    def gram_level(*args, **kwargs):
+        gram.append(args)
+        try:
+            return wavefunctions(*args, **kwargs)
+        finally:
+            gram.pop()
+
+    wavefunctions = analytic.analytic_wavefunctions
+    monkeypatch.setattr(analytic, "analytic_wavefunctions", gram_level)
+    monkeypatch.setattr(analytic, "closed_form_state", counted(analytic.closed_form_state))
     for module in (cli, superpot):
         monkeypatch.setattr(module, "ground_state_from_w", counted(superpot.ground_state_from_w))
     argv = ["verify", "--model", family]
@@ -457,7 +483,7 @@ def test_default_verify_builds_the_zero_mode_once(capsys, monkeypatch, tmp_path,
         argv += ["--config", str(cfgfile)]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and "ground_residual" in out
-    assert len(builds) == 1, builds
+    assert builds == ["ground_state_from_w" if family == "custom" else "closed_form_state"]
 
 
 @pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
@@ -494,6 +520,23 @@ def test_verify_report_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a long dot product over its threads, so a reduction
+    through BLAS sums in an order that follows the thread count.  A numeric
+    Coulomb eigenvector on the 16 001-point default window goes through the
+    eigenvector norms and the Simpson quadrature of its normalization."""
+    argv = [sys.executable, "-m", "susyrad.cli", "wavefunction", "--model", "coulomb",
+            "--method", "numeric", "--n", "2"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run(argv, capture_output=True, check=True, env=env)
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 16002
+    assert outputs[0] == outputs[1]
 
 
 # ------------------------------------------------------------------ config
@@ -712,17 +755,21 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
     assert code == 0 and err == ""
     assert parse_csv(out)[1][0][4] == "numeric"
     # closed-form states come from the record: unit spinor norm on the default
-    # window where the family is solvable, a ConfigurationError where it is not
+    # window for every level it knows, a ConfigurationError above them
     model = cfg.model
     grid = record.window(model, 2)
     if record.closed_form == "all":
         assert record.epsilon_sq is not None and record.envelope is not None
-        for n in range(int(min(2, model.max_level)) + 1):
-            wf = analytic_wavefunctions(model, n, grid)
-            assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-8)
     else:
+        assert record.log_zero_mode is not None
+    known = int(min(2, model.max_level)) if record.closed_form == "all" else 0
+    for n in range(known + 1):
+        wf = analytic_wavefunctions(model, n, grid)
+        assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-8)
+    if record.closed_form == "ground":
+        assert not np.any(wf.f_plus)
         with pytest.raises(ConfigurationError):
-            analytic_wavefunctions(model, 0, grid)
+            analytic_wavefunctions(model, 1, grid)
 
 
 # ------------------------------------------------------------ flag space

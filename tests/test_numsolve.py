@@ -95,6 +95,13 @@ def test_operator_refuses_a_diagonal_of_the_wrong_length():
             TridiagonalOperator(diag=np.zeros(size), grid=grid)
 
 
+def test_operators_compare_and_hash_by_identity():
+    grid = RadialGrid(0.0, 1.0, 11)
+    op, same = discretize(np.zeros(11), grid), discretize(np.zeros(11), grid)
+    assert op == op and op != same
+    assert hash(op) == hash(op) and len({op, same, op}) == 2
+
+
 def test_two_by_two_hand_case():
     """diag (2, 2), off -1 has eigenvalues 1 and 3."""
     op = _stencil_operator([2.0, 2.0])
@@ -218,6 +225,21 @@ def test_quadrature_polynomials_and_exponential():
     g40 = RadialGrid(0.0, 40.0, 4001)
     val = quadrature(np.exp(-g40.points()), g40)
     assert val == pytest.approx(1.0 - math.exp(-40.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 5, 6, 7, 16001])
+def test_quadrature_weights_are_simpsons_1_4_2_4_1(n_points):
+    """Integer samples keep every sum exact: the odd-count rule is h/3 times
+    the 1, 4, 2, ..., 4, 1 weighted sum, the even count adds a trapezoid."""
+    grid = RadialGrid(0.0, 3.0 * (n_points - 1), n_points)  # h = 3
+    y = np.arange(1.0, n_points + 1.0) ** 2
+    odd = n_points if n_points % 2 else n_points - 1
+    w = np.ones(odd)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    expected = float(sum(wi * yi for wi, yi in zip(w, y[:odd])))
+    if odd < n_points:
+        expected += 1.5 * (y[-2] + y[-1])
+    assert quadrature(y, grid) == expected
 
 
 def test_quadrature_even_point_fallback():

@@ -139,12 +139,11 @@ def test_deformed_coulomb_zero_mode_shape():
 
 @pytest.mark.parametrize("model,rmin,rmax", [
     (anharmonic_model(1.0, 1.0, 1.0), 0.0, 8.0),
-    (sextic_model(1.0, 1.0, ell=1), 1e-5, 6.0),
-    (deformed_coulomb_model(1.0, 1.0, ell=0), 1e-3, 12.0),
+    (sextic_model(1.0, 1.0, ell=0), 0.0, 6.0),
 ])
 def test_zero_mode_agrees_with_integrated_superpotential(model, rmin, rmax):
     """Closed-form f0 against exp(-int W) built by quadrature: two fully
-    independent constructions of the same state."""
+    independent constructions of the same state, where W is regular."""
     grid = RadialGrid(rmin, rmax, 8001)
     f0 = qes_ground_state(model, grid)
     f = ground_state_from_w(superpotential_from_model(model), grid)
@@ -174,9 +173,27 @@ def test_zero_mode_rejects_short_window():
     assert _residual(deformed_coulomb_model(1.0, 0.0, ell=0), RadialGrid(1e-3, 40.0, 4001)) < 1e-3
 
 
-def test_singular_zero_modes_need_open_origin():
-    with pytest.raises(DomainError):
-        qes_ground_state(sextic_model(1.0, 1.0, ell=1), RadialGrid(0.0, 6.0, 601))
+def test_zero_mode_that_overflows_on_the_grid_is_refused():
+    """a r leaves the float range at the far end, where log f_0 is +inf: the
+    state is not normalizable, and it is refused rather than zeroed there."""
+    with pytest.raises(DomainError, match="degenerate"):
+        qes_ground_state(anharmonic_model(-1e300, 1.0, 1.0), RadialGrid(0.0, 1e10, 11))
+
+
+@pytest.mark.parametrize("model", [sextic_model(1.0, 1.0, ell=1),
+                                   deformed_coulomb_model(1.0, 1.0, ell=0)])
+def test_singular_zero_modes_vanish_at_r_0(model):
+    """At a c/r pole of W (c < 0) at r = 0 the zero mode, which goes as
+    r^{-c}, takes its limit 0; the window that starts at the pole gives the
+    same samples as one that stops just short of it, and solves V_- within
+    verify's ground_residual budget of 50 h^2."""
+    grid = RadialGrid(0.0, 6.0, 601)
+    f0 = qes_ground_state(model, grid)
+    assert f0[0] == 0.0 and np.all(np.isfinite(f0))
+    near = qes_ground_state(model, RadialGrid(1e-300, 6.0, 601))
+    np.testing.assert_allclose(f0[1:], near[1:], rtol=1e-13)
+    grid = RadialGrid(0.0, 6.0, 8001)
+    assert _residual(model, grid) < 50.0 * grid.h**2
 
 
 # ------------------------------------------------------- numeric spectra

@@ -11,6 +11,7 @@ from susyrad import (
     RadialGrid,
     analytic_wavefunctions,
     anharmonic_model,
+    closed_form_state,
     apply_lowering,
     coulomb_model,
     custom_model,
@@ -23,7 +24,7 @@ from susyrad import (
     sextic_model,
     superpotential_from_model,
 )
-from susyrad.superpot import _ladder
+from susyrad.superpot import _ladder, normalized_zero_mode
 
 ALL_MODELS = [
     oscillator_model(1.0, 0.0, ell=0),
@@ -41,7 +42,6 @@ def test_oscillator_w_values():
     # W = omega_T r - (ell+1)/r; at omega_T = 1, ell = 0: W(2) = 1.5
     sp = superpotential_from_model(oscillator_model(1.0))
     assert sp.w(2.0) == pytest.approx(1.5, abs=1e-15)
-    assert sp.singular_coefficient == -1.0
     # Larmor shift: omega=1, B=2 gives omega_T = 2
     sp2 = superpotential_from_model(oscillator_model(1.0, 2.0))
     assert sp2.w(1.0) == pytest.approx(2.0 - 1.0, abs=1e-15)
@@ -51,15 +51,24 @@ def test_morse_w_crosses_zero_at_origin_when_a_equals_b():
     sp = superpotential_from_model(morse_model(3.0, 1.0, 3.0))
     assert sp.w(0.0) == 0.0
     assert sp.w_prime(0.0) == 3.0
-    assert sp.singular_coefficient == 0.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
-def test_regular_plus_singular_split(model):
+def test_a_pole_of_w_at_r_0_is_c_over_r_with_c_negative_and_the_state_vanishes_there(model):
+    """r W(r) -> c at r = 0: c = -(l+1) (oscillator, Coulomb, deformed Coulomb),
+    -l (sextic), 0 (regular W).  Where c < 0 the closed-form state, which goes
+    as r^{-c}, samples to 0 at a wall at r = 0; where c = 0 it does not."""
     sp = superpotential_from_model(model)
-    r = np.linspace(0.11, 7.7, 29)
-    np.testing.assert_allclose(sp.w_regular(r) + sp.singular_coefficient / r,
-                               sp.w(r), rtol=1e-12, atol=1e-12)
+    c = {"oscillator": -(model.ell + 1.0), "coulomb": -(model.ell + 1.0),
+         "deformed-coulomb": -(model.ell + 1.0), "sextic": -float(model.ell)}.get(
+        model.family.value, 0.0)
+    r = np.array([1e-9, 1e-8])
+    np.testing.assert_allclose(r * sp.w(r), c, atol=1e-7)
+    if model.family.value == "morse":
+        return  # not radial: its window crosses r = 0
+    f = closed_form_state(model, 0, RadialGrid(0.0, 8.0, 801))
+    assert np.all(np.isfinite(f))
+    assert (f[0] == 0.0) == (c < 0)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -214,34 +223,42 @@ def test_ground_state_morse_closed_form():
     assert np.max(np.abs(f - ref)) < 1e-8
 
 
-def test_ground_state_sextic_closed_form():
+def test_ground_state_sextic_closed_form_from_r_0():
     model = sextic_model(1.0, 1.0, ell=1)
-    grid = RadialGrid(1e-5, 6.0, 6001)
+    grid = RadialGrid(0.0, 6.0, 6001)
     r = grid.points()
-    f = ground_state_from_w(superpotential_from_model(model), grid)
+    f = normalized_zero_mode(closed_form_state(model, 0, grid), grid)
     ref = r * np.exp(-r**2 / 2.0 - r**4 / 4.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
-    assert np.max(np.abs(f - ref)) < 1e-8
+    assert f[0] == 0.0
+    assert np.max(np.abs(f - ref)) < 1e-12
 
 
-def test_ground_state_deformed_coulomb_reconstruction():
-    """Numerical exp(-int W) against r^{l+1} exp(-w r^2/2 - e2 r/(2(l+1))):
-    the full W including the linear confinement term must be integrated."""
+def test_ground_state_deformed_coulomb_closed_form_from_r_0():
+    """The record's zero mode against r^{l+1} exp(-w r^2/2 - e2 r/(2(l+1))),
+    the linear confinement term included, on a window that starts at the pole."""
     model = deformed_coulomb_model(1.0, 1.0, ell=0)
-    grid = RadialGrid(1e-3, 12.0, 6001)
+    grid = RadialGrid(0.0, 12.0, 6001)
     r = grid.points()
-    f = ground_state_from_w(superpotential_from_model(model), grid)
+    f = normalized_zero_mode(closed_form_state(model, 0, grid), grid)
     ref = r * np.exp(-r**2 / 2.0 - r / 2.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
-    assert np.max(np.abs(f - ref)) < 1e-9
+    assert f[0] == 0.0
+    assert np.max(np.abs(f - ref)) < 1e-12
 
 
-def test_ground_state_oscillator_matches_analytic_wavefunction():
+@pytest.mark.parametrize("r_min", [1e-4, 0.0])
+def test_oscillator_zero_mode_is_the_n0_envelope(r_min):
+    """r^{l+1} e^{-w r^2/2} sampled by hand is the n = 0 analytic wavefunction
+    and the verify zero mode, on a window with or without the pole."""
     model = oscillator_model(1.0, 0.0, ell=1)
-    grid = RadialGrid(1e-4, 12.0, 2401)
-    f = ground_state_from_w(superpotential_from_model(model), grid)
-    wf = analytic_wavefunctions(model, 0, grid)
-    assert np.max(np.abs(f - wf.f_minus)) < 1e-9
+    grid = RadialGrid(r_min, 12.0, 2401)
+    r = grid.points()
+    ref = r**2 * np.exp(-r**2 / 2.0)
+    ref /= math.sqrt(quadrature(ref**2, grid))
+    f = normalized_zero_mode(closed_form_state(model, 0, grid), grid)
+    assert np.max(np.abs(f - ref)) < 1e-12
+    assert np.max(np.abs(analytic_wavefunctions(model, 0, grid).f_minus - ref)) < 1e-12
 
 
 def test_ground_state_rejects_growing_mode():
@@ -253,10 +270,11 @@ def test_ground_state_rejects_growing_mode():
         ground_state_from_w(superpotential_from_model(model), grid)
 
 
-def test_ground_state_singular_w_needs_positive_rmin():
-    model = coulomb_model(1.0)
-    sp = superpotential_from_model(model)
-    with pytest.raises(DomainError):
+def test_ground_state_from_w_refuses_a_pole_on_the_grid():
+    """The quadrature path serves a W that is finite on the grid (custom);
+    a 1/r pole sampled at r = 0 leaves int W non-finite."""
+    sp = superpotential_from_model(coulomb_model(1.0))
+    with pytest.raises(DomainError, match="float range"):
         ground_state_from_w(sp, RadialGrid(0.0, 40.0, 401))
 
 

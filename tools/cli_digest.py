@@ -4,8 +4,13 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR > digest.txt
 
-Imports ``susyrad`` from SRC_DIR (put first on ``sys.path``), runs every
-invocation of the battery in-process through ``susyrad.cli.main`` and prints
+Imports ``susyrad`` from SRC_DIR (put first on ``sys.path``), prints one
+header line with numpy's version and the CPU features its SIMD loops use,
+
+    # numpy <version> | cpu features: <enabled features>
+
+then runs every invocation of the battery in-process through
+``susyrad.cli.main`` and prints
 
     argv | exit | sha256(stdout)[:16] | stderr
 
@@ -18,6 +23,11 @@ every subcommand x method x format, several ``--n`` / ``--n-max`` values and
 ``--checks`` subsets, small and negative grids, refusals, parameters or
 windows at the edge of the float range, and the help texts (at
 ``COLUMNS=80``, so that their widths do not follow the terminal).
+
+The bytes are the same on one machine whatever the BLAS thread count, but
+numpy's vectorized ``exp``, ``log`` and ``power`` round differently per
+instruction set, so digests from hosts whose headers differ are not expected
+to match line for line.
 """
 
 from __future__ import annotations
@@ -189,7 +199,12 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, os.path.abspath(args[0]))
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_features__
     from susyrad import cli
+
+    enabled = " ".join(name for name, on in __cpu_features__.items() if on)
+    print(f"# numpy {np.__version__} | cpu features: {enabled}")
 
     with tempfile.TemporaryDirectory() as tmp:
         r = [6.0 * i / 600 for i in range(601)]
