@@ -56,7 +56,8 @@ _COARSE_MIN_ROWS = 300
 #: coarse levels only seed the fine ones, so they are solved to this
 #: tolerance, or to the caller's where that is looser
 _COARSE_TOL = 1e-5
-_EPS = np.finfo(float).eps
+#: a Python float, so that eff_tol and every shift derived from it are too
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,10 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     has d_j - |e_{j-1}| - |e_j| - 4 eps (|d_j| + |e_{j-1}| + |e_j|) - 2 pivmin
     >= lam + 4 eps |lam|, e_{-1} and e_{n-1} being 0.  Then each later pivot is
     at least |e| + pivmin, rounding included, so none is counted and the
-    count equals the full sweep's.  Row 0 reads e^2/inf = 0.
+    count equals the full sweep's.  Row 0 reads e^2/inf = 0.  lam is read as
+    a Python float: a numpy scalar costs about three times as much per row.
     """
+    lam = float(lam)
     d, e, e2, pivmin, safe = op._sweep_rows
     tail = int(np.searchsorted(safe, lam + 4.0 * _EPS * abs(lam)))
     rows, n = iter(d), len(d)
@@ -282,7 +285,9 @@ class _LevelSolver:
             step = abs(y - x)
             if not (a < y < b and step <= 0.5 * last_step):
                 return None
-            if (step <= 0.25 * self.eff_tol or step**3 <= self.eff_tol * last_step**2 / 64.0) \
+            # products, not **: a float ** that overflows raises OverflowError
+            if (step <= 0.25 * self.eff_tol
+                    or step * step * step <= self.eff_tol * (last_step * last_step) / 64.0) \
                     and self.certified(i, y):
                 return y
             last_step, x = step, y
@@ -332,13 +337,15 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10) -> l
     discretize on an odd grid, the iteration starts at a nested-grid
     prediction, before any count.  Level i is the same float whatever k is.
 
-    Returns a list of k floats in nondecreasing order.
+    Returns a list of k Python floats, in nondecreasing order up to eff_tol:
+    two levels closer than eff_tol may come out in either order.
     """
     n = op.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     solver = _LevelSolver(op, tol, _predictions(op, k, tol)[0])
     return [solver.level(i) for i in range(k)]
 
@@ -457,8 +464,11 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     Returns the full-grid samples (zeros at the Dirichlet walls), normalized
     to unit quadrature norm, with the sign fixed so the first extremum is
     positive.  Raises NumericError if the vector overflows or the residual
-    check fails.
+    check fails, and ValueError for a tol that is not finite.
     """
+    lam, tol = float(lam), float(tol)
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     d, e, e2, pivmin, _ = op._sweep_rows
     bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
     shift = lam
@@ -550,5 +560,6 @@ def isospectral_check(eigs_minus, v_plus, grid: RadialGrid) -> list:
     the V+ operator, so the check does not take the V- levels on trust."""
     if len(eigs_minus) < 2:
         raise ValueError("isospectral_check needs at least two V- levels")
-    solver = _LevelSolver(discretize(v_plus, grid), 1e-10, eigs_minus[1:])
-    return [solver.level(i) - m for i, m in enumerate(eigs_minus[1:])]
+    predictions = [float(m) for m in eigs_minus[1:]]
+    solver = _LevelSolver(discretize(v_plus, grid), 1e-10, predictions)
+    return [solver.level(i) - m for i, m in enumerate(predictions)]

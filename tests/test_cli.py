@@ -877,6 +877,26 @@ def test_extreme_magnitudes_exit_with_one_error_line(argv):
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
 
 
+#: windows and parameters whose Newton steps square and cube past the float range
+FLOAT_RANGE_NEWTON_STEPS = [
+    ("spectrum", "--model", "oscillator", "--grid", "0,1e-70,801", "--n-max", "2"),
+    ("spectrum", "--model", "oscillator", "--grid", "1e-80,1e-70,801", "--n-max", "2"),
+    ("spectrum", "--model", "anharmonic", "--b", "1e150", "--n-max", "2"),
+    ("spectrum", "--model", "anharmonic", "--grid", "0,1e75,801", "--n-max", "2"),
+    ("spectrum", "--model", "sextic", "--b", "1e120", "--n-max", "1"),
+    ("spectrum", "--model", "anharmonic", "--omega-t", "1e100", "--n-max", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_RANGE_NEWTON_STEPS, ids=" ".join)
+def test_newton_steps_beyond_the_float_range_print_quietly(argv):
+    """Newton's offer test compares step^3 with eff_tol step_prev^2 / 64 as
+    products, which overflow to inf quietly: the levels print, with no
+    traceback and no numpy warning."""
+    code, out, err, caught = _run_quietly(list(argv))
+    assert code == 0 and out and err == "" and not caught, [str(w.message) for w in caught]
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -26,7 +26,7 @@ from susyrad import (
     superpotential_from_model,
 )
 from susyrad.cli import build_parser, resolve_config
-from susyrad import numsolve
+from susyrad import cli, numsolve
 from susyrad.core import Family
 from susyrad.numsolve import TridiagonalOperator, _newton_sweep, isospectral_check
 
@@ -926,3 +926,71 @@ def test_eigenvector_forward_sweep_stops_in_the_levels_tail():
     op.__dict__["_sweep_rows"] = (rows := _CountedRows(d), *rest)
     eigenvector(op, lam)
     assert 0 < rows.read < op.size // 2
+
+
+def _spy_on_shifts(monkeypatch) -> dict:
+    """The shift of every sturm_count, _newton_sweep and _pivots call from
+    now on, by function name."""
+    shifts = {}
+    for name in ("sturm_count", "_newton_sweep", "_pivots"):
+        def spy(*args, _real=getattr(numsolve, name), _seen=shifts.setdefault(name, [])):
+            _seen.append(args[1])
+            return _real(*args)
+        monkeypatch.setattr(numsolve, name, spy)
+    return shifts
+
+
+def _assert_float_shifts(shifts):
+    for name, seen in shifts.items():
+        assert seen, name
+        assert all(type(lam) is float for lam in seen), (name, {type(lam) for lam in seen})
+
+
+def test_every_sweep_reads_a_python_float_shift(monkeypatch, capsys):
+    """On the anharmonic default window eff_tol is the 8 eps |T| floor
+    (about 1.2e-8, above tol), which a numpy eps made a numpy scalar, and the
+    certificate counts' shifts with it; a numpy scalar shift costs about
+    three times as much per row as a float."""
+    assert type(numsolve._EPS) is float
+    op = _spectrum_operator("--model", "anharmonic")
+    assert numsolve._LevelSolver(op, 1e-10).eff_tol > 1e-10
+    shifts = _spy_on_shifts(monkeypatch)
+    assert cli.main(["spectrum", "--model", "anharmonic", "--n-max", "4"]) == 0
+    assert cli.main(["wavefunction", "--model", "anharmonic", "--method", "numeric",
+                     "--n", "2"]) == 0
+    capsys.readouterr()
+    _assert_float_shifts(shifts)
+
+
+def test_levels_are_python_floats_and_numpy_scalar_inputs_change_no_bit(monkeypatch):
+    """np.float64 shifts, tolerances and predictions read as the same floats:
+    the same bits out, and every sweep still reads a float shift."""
+    grid = RadialGrid(0.01, 6.0, 1201)
+    pp = partner_potentials(superpotential_from_model(oscillator_model(1.0)), grid)
+    op = discretize(pp.v_minus, grid)
+    eigs, loose = lowest_eigenvalues(op, 4), lowest_eigenvalues(op, 4, 1e-6)
+    assert all(type(lam) is float for lam in eigs + loose)
+    lams = eigs + [eigs[1] + 1e-3, -1.0]
+    counts = [sturm_count(op, lam) for lam in lams]
+    vectors = [eigenvector(op, lam, 1e-10).tobytes() for lam in eigs]
+    deviations = isospectral_check(eigs, pp.v_plus, grid)
+    assert all(type(x) is float for x in deviations)
+
+    assert [sturm_count(op, np.float64(lam)) for lam in lams] == counts
+    shifts = _spy_on_shifts(monkeypatch)
+    numpy_tol = lowest_eigenvalues(op, 4, np.float64(1e-6))  # tol is eff_tol here
+    assert all(type(lam) is float for lam in numpy_tol) and numpy_tol == loose
+    assert [eigenvector(op, np.float64(lam), np.float64(1e-10)).tobytes()
+            for lam in eigs] == vectors
+    numpy_predictions = isospectral_check(np.array(eigs), pp.v_plus, grid)
+    assert all(type(x) is float for x in numpy_predictions) and numpy_predictions == deviations
+    _assert_float_shifts(shifts)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_a_tolerance_that_is_not_finite_is_refused(tol):
+    op = _stencil_operator([2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="tol"):
+        lowest_eigenvalues(op, 1, tol)
+    with pytest.raises(ValueError, match="tol"):
+        eigenvector(op, 2.0, tol)

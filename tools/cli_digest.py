@@ -114,6 +114,13 @@ EXTREME = (
     ("wavefunction", "--model", "coulomb", "--n", "12"),
     ("wavefunction", "--model", "coulomb", "--n", "9", "--method", "numeric"),
     ("wavefunction", "--model", "coulomb", "--n", "12", "--method", "numeric"),
+    # Newton steps whose square and cube leave the float range
+    ("spectrum", "--model", "oscillator", "--grid", "0,1e-70,801", "--n-max", "2"),
+    ("spectrum", "--model", "oscillator", "--grid", "1e-80,1e-70,801", "--n-max", "2"),
+    ("spectrum", "--model", "anharmonic", "--b", "1e150", "--n-max", "2"),
+    ("spectrum", "--model", "anharmonic", "--grid", "0,1e75,801", "--n-max", "2"),
+    ("spectrum", "--model", "sextic", "--b", "1e120", "--n-max", "1"),
+    ("spectrum", "--model", "anharmonic", "--omega-t", "1e100", "--n-max", "1"),
 )
 
 #: config files the battery reads besides the tabulated W: text samples, a key
