@@ -25,7 +25,6 @@ from .core import (
     sextic_model,
 )
 from .analytic import (
-    RadialWavefunction,
     analytic_epsilon_sq,
     analytic_spectrum,
     analytic_wavefunctions,
@@ -64,7 +63,6 @@ __all__ = [
     "NumericError",
     "PartnerPotentials",
     "RadialGrid",
-    "RadialWavefunction",
     "Superpotential",
     "TridiagonalOperator",
     "analytic_epsilon_sq",

@@ -4,8 +4,9 @@ Three families admit a full analytic solution: the (magnetic) oscillator,
 the Coulomb problem and the Morse well.  Each lower-partner state is a
 Laguerre envelope whose variable, power and order the family record holds
 (a QES family's record holds only its zero mode); closed_form_state samples
-either.  The upper component is produced by the lowering operator and the
-pair is normalized jointly, int (f_-^2 + f_+^2) dr = 1.
+either.  A bound state is the pair of arrays (f_-, f_+) on the grid: the
+upper component is produced by the lowering operator and the pair is
+normalized jointly, int (f_-^2 + f_+^2) dr = 1.
 
 All epsilon^2 values are the shifted squared eigenvalues of
 -f'' + V_- f = eps^2 f, in natural units; core.epsilon_to_energy maps them to
@@ -15,7 +16,6 @@ the energies E = +-sqrt(1 + eps^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     ConfigurationError,
     DomainError,
     ModelSpec,
+    NoBoundStateError,
     RadialGrid,
     Superpotential,
 )
@@ -31,31 +32,13 @@ from .specfun import laguerre
 from .superpot import apply_lowering, superpotential_from_model
 
 
-@dataclass(frozen=True)
-class RadialWavefunction:
-    """Normalized two-component bound state sampled on a grid.
-
-    f_minus solves the lower-partner problem at epsilon_sq; f_plus is its
-    image under the lowering operator divided by epsilon (identically zero
-    for the n = 0 zero mode).  The joint norm is 1.
-    """
-
-    grid: RadialGrid
-    n: int
-    epsilon_sq: float
-    f_minus: np.ndarray
-    f_plus: np.ndarray
-
-    def spinor_norm(self) -> float:
-        return quadrature(self.f_minus**2 + self.f_plus**2, self.grid)
-
-
 # --------------------------------------------------------------------------
 # Spectra
 
 
 def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
-    """The closed form in the family record.  QES families only expose n = 0."""
+    """The closed form in the family record.  QES families only expose n = 0;
+    a finite tower refuses the levels above its top, model.max_level."""
     record = model.record
     if record.closed_form == "none":
         raise ConfigurationError(f"{model.family.value} models have no analytic spectrum")
@@ -67,6 +50,9 @@ def analytic_epsilon_sq(model: ModelSpec, n: int) -> float:
                 f"{model.family.value} has only its ground state in closed form"
             )
         return 0.0
+    if n > model.max_level:
+        raise NoBoundStateError(f"{model.family.value} level n={n} is not bound; "
+                                f"the tower ends at n={model.max_level}")
     try:
         eps_sq = record.epsilon_sq(model, n)
     except OverflowError:
@@ -112,20 +98,21 @@ def closed_form_state(model: ModelSpec, n: int, grid: RadialGrid) -> np.ndarray:
         return f * laguerre(n, alpha, z) if record.closed_form == "all" else f
 
 
-def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> RadialWavefunction:
-    """Level n of the closed_form_state as a spinor: f_+ is the image of f_-
-    under the lowering operator divided by epsilon (zero at n = 0)."""
+def analytic_wavefunctions(model: ModelSpec, n: int, grid: RadialGrid) -> tuple:
+    """Level n of the closed_form_state as the pair (f_-, f_+): f_+ is the
+    image of f_- under the lowering operator divided by epsilon (zero at n = 0)."""
     return spinor_from_lower(superpotential_from_model(model), closed_form_state(model, n, grid),
                              n, analytic_epsilon_sq(model, n), grid)
 
 
 def spinor_from_lower(sp: Superpotential, f_minus: np.ndarray, n: int, eps_sq: float,
-                      grid: RadialGrid) -> RadialWavefunction:
-    """Level n from its lower component at epsilon_sq, closed-form or numeric.
+                      grid: RadialGrid) -> tuple:
+    """Level n from its lower component at epsilon_sq, closed-form or numeric,
+    as the pair of arrays (f_-, f_+).
 
     f_- is scaled to unit norm, f_+ is its image under the lowering operator
     divided by epsilon (zero for the n = 0 zero mode), and the pair is then
-    normalized jointly.
+    normalized jointly: quadrature(f_-**2 + f_+**2, grid) is 1.
     """
     nrm = math.sqrt(quadrature(f_minus**2, grid))
     if nrm == 0.0 or not math.isfinite(nrm):
@@ -138,7 +125,4 @@ def spinor_from_lower(sp: Superpotential, f_minus: np.ndarray, n: int, eps_sq: f
     else:
         f_plus = apply_lowering(sp, f_minus, grid) / math.sqrt(eps_sq)
     scale = 1.0 / math.sqrt(quadrature(f_minus**2 + f_plus**2, grid))
-    return RadialWavefunction(
-        grid=grid, n=n, epsilon_sq=eps_sq,
-        f_minus=f_minus * scale, f_plus=f_plus * scale,
-    )
+    return f_minus * scale, f_plus * scale

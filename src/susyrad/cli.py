@@ -169,7 +169,7 @@ def _check_intertwine(cfg):
 def _check_orthonormal(cfg):
     model, grid = cfg.model, cfg.grid
     if model.record.closed_form == "all":
-        fs = [_analytic.analytic_wavefunctions(model, n, grid).f_minus
+        fs = [_analytic.analytic_wavefunctions(model, n, grid)[0]
               for n in range(min(VERIFY_TOP_LEVEL + 1, model.max_level + 1))]
         vecs = [f / math.sqrt(quadrature(f * f, grid)) for f in fs]
         gram = np.array([[quadrature(vi * vj, grid) for vj in vecs] for vi in vecs])
@@ -299,11 +299,13 @@ def cmd_wavefunction(cfg: RunConfig):
     if cfg.method == "analytic" and model.record.closed_form != "all":
         # only the zero mode is known in closed form
         eps_sq, f_m, f_p = 0.0, cfg.zero_mode, np.zeros_like(cfg.zero_mode)
+    elif cfg.method == "analytic":
+        eps_sq = _analytic.analytic_epsilon_sq(model, n)
+        f_m, f_p = _analytic.analytic_wavefunctions(model, n, grid)
     else:
-        wf = (_analytic.analytic_wavefunctions(model, n, grid) if cfg.method == "analytic"
-              else _analytic.spinor_from_lower(cfg.superpotential, cfg.eigenvector(n), n,
-                                               cfg.eigenvalues(n + 1)[n], grid))
-        eps_sq, f_m, f_p = wf.epsilon_sq, wf.f_minus, wf.f_plus
+        eps_sq = cfg.eigenvalues(n + 1)[n]
+        f_m, f_p = _analytic.spinor_from_lower(cfg.superpotential, cfg.eigenvector(n), n,
+                                               eps_sq, grid)
     r = grid.points()
     return {"n": n, "epsilon_sq": float(eps_sq), "r": r, "f_minus": f_m, "f_plus": f_p}
 

@@ -47,6 +47,8 @@ class RadialGrid:
             raise ConfigurationError("grid ends must be finite")
         if not self.r_min < self.r_max:
             raise ConfigurationError("grid requires r_min < r_max")
+        if not math.isfinite(self.r_max - self.r_min):
+            raise ConfigurationError("grid width r_max - r_min overflows")
 
     @property
     def h(self) -> float:
@@ -156,16 +158,6 @@ def _morse_top(m: "ModelSpec") -> float:
     return max(0, math.ceil(ratio - 1e-12) - 1) if math.isfinite(ratio) else math.inf
 
 
-def _morse_epsilon_sq(m: "ModelSpec", n: int) -> float:
-    alpha, b = m.params["alpha"], m.params["b"]
-    if not b - alpha * n > 0:
-        raise NoBoundStateError(
-            f"morse level n={n} is not bound (requires b - alpha*n > 0; "
-            f"highest bound level is n={_morse_top(m)})"
-        )
-    return alpha * n * (2.0 * b - alpha * n)
-
-
 def _morse_envelope(m: "ModelSpec", n: int, r: np.ndarray) -> tuple:
     a, alpha, b = m.params["a"], m.params["alpha"], m.params["b"]
     return b / alpha - n, (2.0 * a / alpha) * np.exp(-alpha * r), 2.0 * b / alpha - 2.0 * n
@@ -231,18 +223,8 @@ def _decay_r_max(m: "ModelSpec", r_lo: float) -> float:
 
 def _custom_w(m: "ModelSpec") -> Superpotential:
     """Tabulated samples, linearly interpolated."""
-    rs = m.params["grid"].points()
-
-    def interpolant(samples):
-        ys = np.asarray(samples, dtype=float)
-
-        def f(r):
-            out = np.interp(np.asarray(r, dtype=float), rs, ys)
-            return float(out) if np.isscalar(r) else out
-        return f
-
-    return Superpotential(interpolant(m.params["w_samples"]),
-                          interpolant(m.params["w_prime_samples"]))
+    rs, w, wp = m.params["grid"].points(), m.params["w_samples"], m.params["w_prime_samples"]
+    return Superpotential(lambda r: np.interp(r, rs, w), lambda r: np.interp(r, rs, wp))
 
 
 FAMILIES = {
@@ -274,7 +256,8 @@ FAMILIES = {
                 "morse requires a > 0, alpha > 0, b > 0"),),
         superpotential=_morse_w,
         window=_morse_window,
-        epsilon_sq=_morse_epsilon_sq,
+        epsilon_sq=lambda m, n: m.params["alpha"] * n * (2.0 * m.params["b"]
+                                                         - m.params["alpha"] * n),
         tower_top=_morse_top,
         envelope=_morse_envelope,
         has_ell=False,

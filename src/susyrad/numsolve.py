@@ -464,11 +464,13 @@ def eigenvector(op: TridiagonalOperator, lam: float, tol: float = 1e-10) -> np.n
     Returns the full-grid samples (zeros at the Dirichlet walls), normalized
     to unit quadrature norm, with the sign fixed so the first extremum is
     positive.  Raises NumericError if the vector overflows or the residual
-    check fails, and ValueError for a tol that is not finite.
+    check fails, and ValueError for a lam or tol that is not finite.
     """
     lam, tol = float(lam), float(tol)
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
+    if not math.isfinite(lam):
+        raise ValueError("the shift lam must be finite")
     d, e, e2, pivmin, _ = op._sweep_rows
     bound = max(tol, 64.0 * _EPS * max(abs(lam), float(np.max(np.abs(op.diag))), 1.0))
     shift = lam

@@ -21,21 +21,22 @@ def laguerre(n: int, alpha: float, z):
         n: degree, integer >= 0.
         alpha: superscript parameter (must keep alpha > -1 for the weight
             z^alpha e^{-z} to be integrable, which is all we ever need).
-        z: scalar or ndarray of evaluation points.
+        z: evaluation points, as anything np.asarray reads as floats.
 
     Returns:
-        float for scalar z, ndarray matching z otherwise.
+        float values shaped like z: an ndarray, or for a scalar z a 0-d
+        array or numpy float.
     """
     if n < 0 or n != int(n):
         raise DomainError("laguerre degree n must be a nonnegative integer")
     if alpha <= -1:
         raise DomainError("laguerre parameter alpha must be > -1")
-    zarr = np.asarray(z, dtype=float)
-    prev = np.ones_like(zarr)           # L_0
+    z = np.asarray(z, dtype=float)
+    prev = np.ones_like(z)              # L_0
     if n == 0:
-        return float(prev) if np.isscalar(z) else prev
-    cur = 1.0 + alpha - zarr            # L_1
+        return prev
+    cur = 1.0 + alpha - z               # L_1
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - zarr) * cur - (k + alpha) * prev) / (k + 1)
-    return float(cur) if np.isscalar(z) else cur
+        prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
 

@@ -35,7 +35,6 @@ def superpotential_from_model(model: ModelSpec) -> Superpotential:
 class PartnerPotentials:
     """V_- and V_+ sampled on a common grid."""
 
-    grid: RadialGrid
     v_minus: np.ndarray
     v_plus: np.ndarray
 
@@ -55,7 +54,7 @@ def partner_potentials(sp: Superpotential, grid: RadialGrid) -> PartnerPotential
         v_plus = w * w + wp
     if not (np.all(np.isfinite(v_minus[1:-1])) and np.all(np.isfinite(v_plus[1:-1]))):
         raise DomainError("partner potentials are singular inside the grid")
-    return PartnerPotentials(grid=grid, v_minus=v_minus, v_plus=v_plus)
+    return PartnerPotentials(v_minus=v_minus, v_plus=v_plus)
 
 
 def _central_derivative(f: np.ndarray, h: float) -> np.ndarray:

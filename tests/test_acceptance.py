@@ -136,8 +136,8 @@ def test_lowering_operator_intertwines_oscillator_levels():
     op_plus = discretize(pp.v_plus, grid)
     eigs_plus = lowest_eigenvalues(op_plus, 3)
     for n in (1, 2, 3):
-        wf = analytic_wavefunctions(model, n, grid)
-        f = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
+        f_minus, _ = analytic_wavefunctions(model, n, grid)
+        f = f_minus / math.sqrt(quadrature(f_minus**2, grid))
         img = apply_lowering(sp, f, grid)
         norm = math.sqrt(quadrature(img * img, grid))
         eps_n = 2.0 * math.sqrt(n)
@@ -192,7 +192,7 @@ def test_oscillator_gram_identity_and_universal_spinor_norms():
     grid = RadialGrid(1e-4, 14.0, 2801)
     states = []
     for n in range(5):
-        f = analytic_wavefunctions(model, n, grid).f_minus
+        f = analytic_wavefunctions(model, n, grid)[0]
         states.append(f / math.sqrt(quadrature(f * f, grid)))
     gram = np.array([[quadrature(a * b, grid) for b in states] for a in states])
     dev = float(np.max(np.abs(gram - np.eye(5))))
@@ -207,10 +207,9 @@ def test_oscillator_gram_identity_and_universal_spinor_norms():
     ]
     for model, grid, n_top in norm_cases:
         for n in range(n_top + 1):
-            wf = analytic_wavefunctions(model, n, grid)
-            assert abs(wf.spinor_norm() - 1.0) < 1e-8, (
-                f"{model.family.value} n={n}: norm {wf.spinor_norm()!r}"
-            )
+            f_minus, f_plus = analytic_wavefunctions(model, n, grid)
+            norm = quadrature(f_minus**2 + f_plus**2, grid)
+            assert abs(norm - 1.0) < 1e-8, f"{model.family.value} n={n}: norm {norm!r}"
 
 
 def test_every_spectrum_row_satisfies_the_relativistic_energy_relation():

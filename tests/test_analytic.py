@@ -68,6 +68,23 @@ def test_morse_epsilon_sq_values_and_tower_end():
         analytic_epsilon_sq(m, 3)  # b - alpha n = 0: not normalizable
 
 
+@pytest.mark.parametrize("b", [3.0, 3.0 + 1e-13])
+def test_morse_levels_stop_at_max_level(b):
+    """One bound rule, n <= max_level: within 1e-12 of an integer b / alpha
+    the level n = b / alpha is refused although b - alpha n is still positive,
+    and every level below it keeps its closed form."""
+    m = morse_model(3.0, 1.0, b)
+    grid = RadialGrid(-10.0, 30.0, 401)
+    assert m.max_level == 2
+    for n in range(3):
+        assert analytic_epsilon_sq(m, n) == 1.0 * n * (2.0 * b - 1.0 * n)
+        assert np.all(np.isfinite(closed_form_state(m, n, grid)))
+    with pytest.raises(NoBoundStateError, match="tower ends at n=2"):
+        analytic_epsilon_sq(m, 3)
+    with pytest.raises(NoBoundStateError):
+        closed_form_state(m, 3, grid)
+
+
 def test_morse_max_level_fractional_depth():
     assert morse_model(3.0, 1.0, 2.5).max_level == 2
     assert morse_model(3.0, 2.0, 1.0).max_level == 0
@@ -86,8 +103,8 @@ def test_qes_families_only_expose_the_zero_mode():
     r = grid.points()
     f = closed_form_state(m, 0, grid)
     np.testing.assert_allclose(f, np.exp(-r**3 / 3.0 - r**2 / 2.0 - r), rtol=1e-13)
-    wf = analytic_wavefunctions(m, 0, grid)
-    assert wf.epsilon_sq == 0.0 and not np.any(wf.f_plus)
+    _, f_plus = analytic_wavefunctions(m, 0, grid)
+    assert not np.any(f_plus)
     with pytest.raises(ConfigurationError):
         closed_form_state(m, 1, grid)
 
@@ -117,11 +134,11 @@ def test_oscillator_ground_state_shape():
     model = oscillator_model(1.0)
     grid = RadialGrid(1e-4, 12.0, 2401)
     r = grid.points()
-    wf = analytic_wavefunctions(model, 0, grid)
+    f_minus, f_plus = analytic_wavefunctions(model, 0, grid)
     ref = r * np.exp(-r**2 / 2.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
-    np.testing.assert_allclose(wf.f_minus, ref, atol=1e-12)
-    assert np.all(wf.f_plus == 0.0)
+    np.testing.assert_allclose(f_minus, ref, atol=1e-12)
+    assert np.all(f_plus == 0.0)
 
 
 def test_coulomb_ground_state_shape():
@@ -129,10 +146,10 @@ def test_coulomb_ground_state_shape():
     model = coulomb_model(1.0)
     grid = RadialGrid(1e-4, 40.0, 4001)
     r = grid.points()
-    wf = analytic_wavefunctions(model, 0, grid)
+    f_minus, _ = analytic_wavefunctions(model, 0, grid)
     ref = r * np.exp(-r)
     ref /= math.sqrt(quadrature(ref**2, grid))
-    np.testing.assert_allclose(wf.f_minus, ref, atol=1e-12)
+    np.testing.assert_allclose(f_minus, ref, atol=1e-12)
 
 
 def test_morse_ground_state_shape():
@@ -140,32 +157,23 @@ def test_morse_ground_state_shape():
     model = morse_model(3.0, 1.0, 3.0)
     grid = RadialGrid(-10.0, 30.0, 4001)
     r = grid.points()
-    wf = analytic_wavefunctions(model, 0, grid)
+    f_minus, _ = analytic_wavefunctions(model, 0, grid)
     z = 6.0 * np.exp(-r)
     ref = z**3 * np.exp(-z / 2.0)
     ref /= math.sqrt(quadrature(ref**2, grid))
-    np.testing.assert_allclose(wf.f_minus, ref, atol=1e-12)
+    np.testing.assert_allclose(f_minus, ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_oscillator_node_count(n):
-    wf = analytic_wavefunctions(oscillator_model(1.0), n, RadialGrid(1e-4, 14.0, 2801))
-    assert _sign_changes(wf.f_minus) == n
+    f_minus, _ = analytic_wavefunctions(oscillator_model(1.0), n, RadialGrid(1e-4, 14.0, 2801))
+    assert _sign_changes(f_minus) == n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_coulomb_node_count(n):
-    wf = analytic_wavefunctions(coulomb_model(1.0), n, RadialGrid(1e-4, 120.0, 12001))
-    assert _sign_changes(wf.f_minus) == n
-
-
-def test_wavefunction_metadata():
-    model = coulomb_model(1.0, ell=1)
-    grid = RadialGrid(1e-4, 80.0, 8001)
-    wf = analytic_wavefunctions(model, 2, grid)
-    assert wf.n == 2
-    assert wf.epsilon_sq == pytest.approx(0.1875)
-    assert wf.grid is grid
+    f_minus, _ = analytic_wavefunctions(coulomb_model(1.0), n, RadialGrid(1e-4, 120.0, 12001))
+    assert _sign_changes(f_minus) == n
 
 
 @pytest.mark.parametrize("model,grid", [
@@ -176,8 +184,8 @@ def test_wavefunction_metadata():
 ])
 def test_spinor_norm_is_one(model, grid):
     for n in range(3):
-        wf = analytic_wavefunctions(model, n, grid)
-        assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-12)
+        f_minus, f_plus = analytic_wavefunctions(model, n, grid)
+        assert quadrature(f_minus**2 + f_plus**2, grid) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tails_vanish_at_r_max():
@@ -187,16 +195,17 @@ def test_tails_vanish_at_r_max():
         (morse_model(3.0, 1.0, 3.0), RadialGrid(-12.0, 40.0, 8001)),
     ]
     for model, grid in cases:
-        wf = analytic_wavefunctions(model, 2, grid)
-        assert abs(wf.f_minus[-1]) < 1e-15
+        f_minus, _ = analytic_wavefunctions(model, 2, grid)
+        assert abs(f_minus[-1]) < 1e-15
 
 
 def test_large_order_states_stay_finite():
     """exp(k ln z - z/2) assembly must not overflow for high n at large r."""
-    wf = analytic_wavefunctions(coulomb_model(1.0), 8, RadialGrid(1e-4, 400.0, 8001))
-    assert np.all(np.isfinite(wf.f_minus))
-    assert np.all(np.isfinite(wf.f_plus))
-    assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-10)
+    grid = RadialGrid(1e-4, 400.0, 8001)
+    f_minus, f_plus = analytic_wavefunctions(coulomb_model(1.0), 8, grid)
+    assert np.all(np.isfinite(f_minus))
+    assert np.all(np.isfinite(f_plus))
+    assert quadrature(f_minus**2 + f_plus**2, grid) == pytest.approx(1.0, abs=1e-10)
 
 
 # ----------------------------------------------------- ladder orthogonality
@@ -210,7 +219,7 @@ def test_large_order_states_stay_finite():
 def test_lower_component_gram_matrix(model, grid, count, bound):
     fs = []
     for n in range(count):
-        f = analytic_wavefunctions(model, n, grid).f_minus
+        f = analytic_wavefunctions(model, n, grid)[0]
         fs.append(f / math.sqrt(quadrature(f * f, grid)))
     gram = np.array([[quadrature(a * b, grid) for b in fs] for a in fs])
     assert np.max(np.abs(gram - np.eye(count))) < bound
@@ -227,8 +236,8 @@ def test_upper_component_is_partner_eigenvector():
     op = discretize(pp.v_plus, grid)
     lam = lowest_eigenvalues(op, 1)[0]
     assert lam == pytest.approx(4.0, abs=1e-3)
-    wf = analytic_wavefunctions(model, 1, grid)
-    fp = wf.f_plus / math.sqrt(quadrature(wf.f_plus**2, grid))
+    _, f_plus = analytic_wavefunctions(model, 1, grid)
+    fp = f_plus / math.sqrt(quadrature(f_plus**2, grid))
     vec = eigenvector(op, lam)
     if np.dot(vec, fp) < 0.0:
         vec = -vec
@@ -260,11 +269,11 @@ def test_wavefunctions_from_r_0_take_the_limit_at_the_pole(model, r_max, n_point
     that a window from just above r = 0 gives."""
     grid = RadialGrid(0.0, r_max, n_points)
     for n in range(3):
-        wf = analytic_wavefunctions(model, n, grid)
+        f_minus, f_plus = analytic_wavefunctions(model, n, grid)
         near = closed_form_state(model, n, RadialGrid(1e-300, r_max, n_points))
-        assert wf.f_minus[0] == 0.0 and wf.f_plus[0] == 0.0
-        assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid)),
+        assert f_minus[0] == 0.0 and f_plus[0] == 0.0
+        assert quadrature(f_minus**2 + f_plus**2, grid) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(f_minus / math.sqrt(quadrature(f_minus**2, grid)),
                                    near / math.sqrt(quadrature(near**2, grid)),
                                    rtol=0, atol=1e-12)
 

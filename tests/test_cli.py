@@ -30,6 +30,7 @@ from susyrad import (
     lowest_eigenvalues,
     morse_model,
     oscillator_model,
+    quadrature,
     sextic_model,
 )
 from susyrad import analytic, numsolve, superpot
@@ -764,10 +765,10 @@ def test_family_record_covers_the_model_and_drives_the_cli(capsys, family):
         assert record.log_zero_mode is not None
     known = int(min(2, model.max_level)) if record.closed_form == "all" else 0
     for n in range(known + 1):
-        wf = analytic_wavefunctions(model, n, grid)
-        assert wf.spinor_norm() == pytest.approx(1.0, abs=1e-8)
+        f_minus, f_plus = analytic_wavefunctions(model, n, grid)
+        assert quadrature(f_minus**2 + f_plus**2, grid) == pytest.approx(1.0, abs=1e-8)
     if record.closed_form == "ground":
-        assert not np.any(wf.f_plus)
+        assert not np.any(f_plus)
         with pytest.raises(ConfigurationError):
             analytic_wavefunctions(model, 1, grid)
 
@@ -953,3 +954,24 @@ def test_morse_ratio_beyond_the_float_range_has_no_finite_top(command):
                                  for e in json.loads(out)["entries"])
     elif code:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("family", ["morse", "anharmonic", "custom"])
+@pytest.mark.parametrize("command", [("partner",), ("spectrum", "--n-max", "1")], ids=" ".join)
+def test_a_window_whose_width_overflows_is_a_usage_error(tmp_path, command, family, source):
+    """r_max - r_min beyond the float range is one usage error, from a flag or
+    a config list, with no output and no numpy warning from linspace."""
+    config = {"model": family}
+    if family == "custom":
+        config.update(w_samples=[1.0] * 5, w_prime_samples=[0.0] * 5)
+    argv = [*command]
+    if source == "flag":
+        argv.append("--grid=-1e308,1e308,5")
+    else:
+        config["grid"] = [-1e308, 1e308, 5]
+    cfgfile = tmp_path / "overflow.json"
+    cfgfile.write_text(json.dumps(config))
+    code, out, err, caught = _run_quietly(argv + ["--config", str(cfgfile)])
+    assert not caught, [str(w.message) for w in caught]
+    assert (code, out, err) == (2, "", "error: grid width r_max - r_min overflows\n")

@@ -39,6 +39,8 @@ def test_grid_validation():
         RadialGrid(0.0, 1.0, 2)
     with pytest.raises(ConfigurationError):
         RadialGrid(1e-3, math.inf, 100)
+    with pytest.raises(ConfigurationError, match="width"):
+        RadialGrid(-1e308, 1e308, 5)  # finite ends, but r_max - r_min overflows
 
 
 def test_omega_total():

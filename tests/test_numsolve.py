@@ -994,3 +994,12 @@ def test_a_tolerance_that_is_not_finite_is_refused(tol):
         lowest_eigenvalues(op, 1, tol)
     with pytest.raises(ValueError, match="tol"):
         eigenvector(op, 2.0, tol)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_a_shift_that_is_not_finite_is_refused(lam):
+    """A non-finite shift is refused before any sweep: an infinite one used to
+    give a vector (and numpy's invalid-value warning), a nan a NumericError."""
+    op = _stencil_operator([2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="lam"):
+        eigenvector(op, lam)

@@ -1,5 +1,5 @@
 """The package surface: what importing the CLI loads, what __all__ lists,
-and the names the benchmark's tracer looks up."""
+the names the benchmark's tracer looks up, and the CLI digest battery."""
 
 import importlib
 import importlib.util
@@ -10,6 +10,15 @@ import types
 from pathlib import Path
 
 import susyrad
+
+
+def _load_script(relative_path: str, name: str):
+    """Import a repository script that is not part of the package."""
+    path = Path(__file__).resolve().parents[1] / relative_path
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_cli_import_loads_numpy_only():
@@ -36,13 +45,25 @@ def test_every_name_the_benchmark_tracer_looks_up_resolves():
     """bench/tracer.py wraps each TRACED function, found with getattr, and
     the benchmark reads qes.lowest_eigenvalues and cli._CHECK_RUNNERS, so a
     renamed function would crash every traced benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_script("bench/tracer.py", "bench_tracer")
     missing = [f"{mod}.{name}" for mod, name, _ in tracer.TRACED
                if not callable(getattr(importlib.import_module(f"susyrad.{mod}"), name, None))]
     assert missing == []
     from susyrad import cli, qes
     assert callable(qes.lowest_eigenvalues)
     assert cli._CHECK_RUNNERS and all(callable(run) for run in cli._CHECK_RUNNERS.values())
+
+
+def test_every_digest_invocation_ends_in_a_documented_exit_code(tmp_path):
+    """The whole tools/cli_digest.py battery, in process: every invocation
+    exits 0-3, with no traceback and no numpy warning in its stderr column.
+    Stdout hashes are not compared: numpy's SIMD loops round differently per
+    instruction set."""
+    digest = _load_script("tools/cli_digest.py", "cli_digest")
+    from susyrad import cli
+    bad = []
+    for argv in digest.battery(digest.write_configs(str(tmp_path))):
+        code, _, err = digest.run(cli, argv)
+        if code not in (0, 1, 2, 3) or "traceback" in err.lower() or "warning:" in err:
+            bad.append(f"{' '.join(argv)} | {code} | {err}")
+    assert bad == []

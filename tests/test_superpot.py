@@ -133,8 +133,8 @@ def test_lowering_maps_level_one_to_norm_epsilon():
     model = oscillator_model(1.0)
     grid = RadialGrid(1e-4, 12.0, 2401)
     sp = superpotential_from_model(model)
-    wf = analytic_wavefunctions(model, 1, grid)
-    f1 = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
+    f_minus, _ = analytic_wavefunctions(model, 1, grid)
+    f1 = f_minus / math.sqrt(quadrature(f_minus**2, grid))
     img = apply_lowering(sp, f1, grid)
     nrm = math.sqrt(quadrature(img**2, grid))
     assert nrm == pytest.approx(2.0, rel=1e-4)  # eps_1 = sqrt(4 * 1)
@@ -166,8 +166,8 @@ def test_raising_after_lowering_scales_by_epsilon_sq():
     for n_points in (1201, 2401):
         grid = RadialGrid(1e-4, 12.0, n_points)
         r = grid.points()
-        wf = analytic_wavefunctions(model, 1, grid)
-        f1 = wf.f_minus / math.sqrt(quadrature(wf.f_minus**2, grid))
+        f_minus, _ = analytic_wavefunctions(model, 1, grid)
+        f1 = f_minus / math.sqrt(quadrature(f_minus**2, grid))
         back = _raising(sp, apply_lowering(sp, f1, grid), grid)
         mask = (r >= 0.5) & (r <= 11.5)
         devs.append(np.max(np.abs(back - 4.0 * f1)[mask]))
@@ -258,7 +258,7 @@ def test_oscillator_zero_mode_is_the_n0_envelope(r_min):
     ref /= math.sqrt(quadrature(ref**2, grid))
     f = normalized_zero_mode(closed_form_state(model, 0, grid), grid)
     assert np.max(np.abs(f - ref)) < 1e-12
-    assert np.max(np.abs(analytic_wavefunctions(model, 0, grid).f_minus - ref)) < 1e-12
+    assert np.max(np.abs(analytic_wavefunctions(model, 0, grid)[0] - ref)) < 1e-12
 
 
 def test_ground_state_rejects_growing_mode():

@@ -20,8 +20,9 @@ type and message.  Diffing the digests of two source trees lists every
 invocation whose stdout bytes, exit code or message moved.  The battery
 covers every family (a custom model from a generated config included),
 every subcommand x method x format, several ``--n`` / ``--n-max`` values and
-``--checks`` subsets, small and negative grids, refusals, parameters or
-windows at the edge of the float range, and the help texts (at
+``--checks`` subsets, small, negative and even-count grids, refusals (config
+files that hold no JSON object among them), parameters or windows at the
+edge of the float range, and the help texts (at
 ``COLUMNS=80``, so that their widths do not follow the terminal).
 
 The bytes are the same on one machine whatever the BLAS thread count, but
@@ -121,11 +122,29 @@ EXTREME = (
     ("spectrum", "--model", "anharmonic", "--grid", "0,1e75,801", "--n-max", "2"),
     ("spectrum", "--model", "sextic", "--b", "1e120", "--n-max", "1"),
     ("spectrum", "--model", "anharmonic", "--omega-t", "1e100", "--n-max", "1"),
+    # a window whose width r_max - r_min overflows
+    ("partner", "--model", "morse", "--grid=-1e308,1e308,5"),
+    ("spectrum", "--model", "morse", "--grid=-1e308,1e308,5"),
+    ("spectrum", "--model", "anharmonic", "--grid=-1e308,1e308,5", "--n-max", "1"),
+    # the 1/r term of the sextic W (absent at ell = 0), and deformed-Coulomb at ell = 1
+    ("spectrum", "--model", "sextic", "--ell", "1", "--n-max", "2"),
+    ("wavefunction", "--model", "sextic", "--ell", "1", "--format", "json"),
+    ("verify", "--model", "sextic", "--ell", "1"),
+    ("spectrum", "--model", "deformed-coulomb", "--ell", "1", "--n-max", "2"),
+    ("verify", "--model", "deformed-coulomb", "--ell", "1"),
+    # an even point count: the trapezoid tail of the Simpson quadratures
+    ("wavefunction", "--model", "oscillator", "--grid", "0.01,6,200", "--n", "1"),
+    ("verify", "--model", "oscillator", "--grid", "0.01,6,200"),
+    ("verify", "--model", "anharmonic", "--grid", "0,5,200"),
+    # a reversed window and an unknown format
+    ("spectrum", "--grid", "5,1,11"),
+    ("spectrum", "--format", "xml"),
 )
 
 #: config files the battery reads besides the tabulated W: text samples, a key
-#: that spectrum does not read, and booleans or a fractional point count where
-#: numbers belong
+#: that spectrum does not read, booleans or fractions where integers belong,
+#: custom models without samples or without a grid, an overflowing window, and
+#: files that hold no JSON object (a string is written as it stands)
 CONFIGS = {
     "bad.json": {"model": "custom", "grid": [0, 6, 5],
                  "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5},
@@ -134,12 +153,21 @@ CONFIGS = {
     "bool_n_max.json": {"model": "oscillator", "n_max": True},
     "bool_grid.json": {"model": "oscillator", "grid": [0.5, True, 11]},
     "fraction_grid.json": {"model": "oscillator", "grid": [0.5, 3, 11.7]},
+    "float_n_max.json": {"model": "oscillator", "n_max": 2.0},
+    "fraction_n_max.json": {"model": "oscillator", "n_max": 2.5},
+    "no_samples.json": {"model": "custom", "grid": "0,6,601"},
+    "no_grid.json": {"model": "custom", "w_samples": [1.0] * 5, "w_prime_samples": [0.0] * 5},
+    "overflow_grid.json": {"model": "custom", "grid": [-1e308, 1e308, 5],
+                           "w_samples": [1.0] * 5, "w_prime_samples": [0.0] * 5},
+    "not_json.json": '{"model": "oscillator",',
+    "not_object.json": [1, 2, 3],
 }
 
 
 def battery(path: dict) -> list:
-    """Every invocation, in a fixed order; `path` maps "custom.json", a
-    tabulated-W config, and each name in CONFIGS to its file."""
+    """Every invocation, in a fixed order; `path` maps "custom.json" and
+    "custom_even.json", tabulated-W configs, and each name in CONFIGS to its
+    file, as write_configs returns it."""
     runs = []
     families = [("--model", f) for f in SMALL_GRIDS] + [("--config", path["custom.json"])]
     for model in families:
@@ -182,7 +210,34 @@ def battery(path: dict) -> list:
     runs.append(["partner", "--config", path["bool_grid.json"]])
     runs.append(["partner", "--config", path["fraction_grid.json"]])
     runs.append(["spectrum", "--model", "oscillator", "--grid", "0.5,3,11.7"])
+    runs.append(["verify", "--config", path["custom_even.json"]])
+    runs.append(["wavefunction", "--config", path["custom_even.json"]])
+    runs.extend(["spectrum", "--config", path[name]]
+                for name in ("float_n_max.json", "fraction_n_max.json", "no_samples.json",
+                             "no_grid.json", "not_json.json", "not_object.json"))
+    runs.append(["partner", "--config", path["overflow_grid.json"]])
     return runs
+
+
+def _custom_config(n_points: int) -> dict:
+    """W = 1 + r + r^2 tabulated on [0, 6] at n_points points."""
+    r = [6.0 * i / (n_points - 1) for i in range(n_points)]
+    return {"model": "custom", "grid": f"0,6,{n_points}",
+            "w_samples": [1.0 + x + x * x for x in r],
+            "w_prime_samples": [1.0 + 2.0 * x for x in r]}
+
+
+def write_configs(directory: str) -> dict:
+    """Write every config file the battery reads into `directory`: the
+    tabulated W at 601 points ("custom.json") and at 600 ("custom_even.json"),
+    and CONFIGS.  Returns the map from file name to path."""
+    configs = {"custom.json": _custom_config(601), "custom_even.json": _custom_config(600),
+               **CONFIGS}
+    path = {name: os.path.join(directory, name) for name in configs}
+    for name, config in configs.items():
+        with open(path[name], "w", encoding="utf-8") as fh:
+            fh.write(config if isinstance(config, str) else json.dumps(config))
+    return path
 
 
 def run(cli, argv: list) -> tuple:
@@ -214,16 +269,7 @@ def main(argv=None) -> int:
     print(f"# numpy {np.__version__} | cpu features: {enabled}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        r = [6.0 * i / 600 for i in range(601)]
-        configs = {"custom.json": {"model": "custom", "grid": "0,6,601",
-                                   "w_samples": [1.0 + x + x * x for x in r],
-                                   "w_prime_samples": [1.0 + 2.0 * x for x in r]},
-                   **CONFIGS}
-        path = {name: os.path.join(tmp, name) for name in configs}
-        for name, config in configs.items():
-            with open(path[name], "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
-        for argv_ in battery(path):
+        for argv_ in battery(write_configs(tmp)):
             code, digest, err = run(cli, argv_)
             shown = " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_)
             print(f"{shown} | {code} | {digest} | {err.rstrip(chr(10)).replace(chr(10), ' / ')}")
