@@ -155,15 +155,17 @@ def _check_isospectral(cfg):
 
 def _check_intertwine(cfg):
     eigs = cfg.eigenvalues(4)
+    levels = [i for i in (1, 2, 3) if eigs[i] > 0]  # epsilon_i = sqrt(eigs[i]) is real
+    if not levels:
+        raise NumericError("no V- level 1-3 is positive: no lowered norm to compare")
     worst = 0.0
-    for i in (1, 2, 3):
-        if eigs[i] <= 0:
-            continue
+    for i in levels:
         vec = cfg.eigenvector(i)
         img = apply_lowering(cfg.superpotential, vec, cfg.grid)
         nrm = math.sqrt(quadrature(img * img, cfg.grid))
         worst = max(worst, abs(nrm - math.sqrt(eigs[i])) / math.sqrt(eigs[i]))
-    return worst, 1e-2, "relative norm defect of lowered levels 1-3"
+    compared = f"levels {levels[0]}-{levels[-1]}" if len(levels) > 1 else f"level {levels[0]}"
+    return worst, 1e-2, f"relative norm defect of lowered {compared}"
 
 
 def _check_orthonormal(cfg):
@@ -193,9 +195,8 @@ def _check_analytic_vs_numeric(cfg):
     if cfg.model.is_qes:
         level0 = cfg.eigenvalues(1)[0]
         return abs(level0), 5e-4, "numeric level 0 against the closed-form zero mode"
-    k = cfg.n_max + 1
-    nums = cfg.eigenvalues(k)
-    anas = [_analytic.analytic_epsilon_sq(cfg.model, n) for n in range(k)]
+    nums = cfg.eigenvalues(cfg.n_max + 1)
+    anas = _analytic.analytic_spectrum(cfg.model, cfg.n_max)
     metric = max(abs(nu - an) / max(1.0, abs(an)) for nu, an in zip(nums, anas))
     return metric, 1e-3, f"levels 0-{cfg.n_max}, relative to max(1, epsilon^2)"
 
@@ -330,10 +331,12 @@ def _csv_text(header, rows_of_values) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def render_spectrum(rows, fmt: str, with_delta: bool) -> str:
+def render_spectrum(rows, fmt: str) -> str:
+    """CSV has a delta column when a row carries a delta (method both)."""
     if fmt == "json":
         return json.dumps({"levels": rows}, indent=2) + "\n"
     header = ["n", "epsilon_sq", "energy_plus", "energy_minus", "source"]
+    with_delta = any(row["delta"] is not None for row in rows)
     if with_delta:
         header.append("delta")
     out = []
@@ -346,15 +349,16 @@ def render_spectrum(rows, fmt: str, with_delta: bool) -> str:
     return _csv_text(header, out)
 
 
-def render_samples(payload, fmt: str, columns) -> str:
+def render_samples(payload, fmt: str) -> str:
+    """CSV columns: the payload's arrays, in order."""
     if fmt == "json":  # JSON has no NaN or infinity: a non-finite sample is null
         obj = {k: ([float(x) if math.isfinite(x) else None for x in v]
                    if isinstance(v, np.ndarray) else v)
                for k, v in payload.items()}
         return json.dumps(obj, indent=2) + "\n"
-    arrays = [payload[c] for c in columns]
-    rows = ([_g17(a[i]) for a in arrays] for i in range(len(arrays[0])))
-    return _csv_text(list(columns), rows)
+    arrays = {k: v for k, v in payload.items() if isinstance(v, np.ndarray)}
+    rows = ([_g17(x) for x in values] for values in zip(*arrays.values()))
+    return _csv_text(list(arrays), rows)
 
 
 def render_verify(report: dict) -> str:
@@ -616,19 +620,11 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "spectrum":
-            rows = cmd_spectrum(cfg)
-            sys.stdout.write(render_spectrum(rows, cfg.output_format,
-                                             with_delta=cfg.method == "both"))
+            sys.stdout.write(render_spectrum(cmd_spectrum(cfg), cfg.output_format))
             return EXIT_OK
-        if args.command == "wavefunction":
-            payload = cmd_wavefunction(cfg)
-            sys.stdout.write(render_samples(payload, cfg.output_format,
-                                            columns=("r", "f_minus", "f_plus")))
-            return EXIT_OK
-        if args.command == "partner":
-            payload = cmd_partner(cfg)
-            sys.stdout.write(render_samples(payload, cfg.output_format,
-                                            columns=("r", "v_minus", "v_plus")))
+        if args.command in ("wavefunction", "partner"):
+            command = cmd_wavefunction if args.command == "wavefunction" else cmd_partner
+            sys.stdout.write(render_samples(command(cfg), cfg.output_format))
             return EXIT_OK
         # verify
         report = run_verification(cfg)

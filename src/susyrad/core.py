@@ -4,6 +4,8 @@ Everything downstream (superpotentials, closed-form spectra, the numerical
 solver, the CLI) works in terms of the values defined here.  All types are
 immutable.  The package works in natural units only (hbar = m = c = e =
 4*pi*eps0 = 1): every formula is quoted, and computed, in that convention.
+The 1/r-pole families share W = const - (l+1)/r + omega_T r: the oscillator
+has const = 0, Coulomb omega_T = 0, and deformed-Coulomb both terms.
 """
 
 from __future__ import annotations
@@ -123,26 +125,18 @@ def _omega_t(m: "ModelSpec") -> float:
     return omega_total(m.params["omega"], m.params["B"])
 
 
-def _oscillator_w(m: "ModelSpec") -> Superpotential:
-    w_t = _omega_t(m)
+def _pole_w(m: "ModelSpec", const: float, w_t: float) -> Superpotential:
+    """W = const - (l+1)/r + omega_T r and W' = (l+1)/r^2 + omega_T."""
     c = -(m.ell + 1.0)
-    return Superpotential(lambda r: w_t * r + c / r, lambda r: w_t - c / r**2)
+    return Superpotential(lambda r: const + c / r + w_t * r, lambda r: -c / r**2 + w_t)
 
 
-def _oscillator_window(m: "ModelSpec", n_max: int) -> RadialGrid:
-    s = math.sqrt(_omega_t(m))
-    return RadialGrid(1e-6 / s, (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / s, 2801)
+def _oscillator_r_max(w_t: float, n_max: int) -> float:
+    return (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / math.sqrt(w_t)
 
 
-def _coulomb_w(m: "ModelSpec") -> Superpotential:
-    const = m.params["kappa"] / (m.ell + 1.0)
-    c = -(m.ell + 1.0)
-    return Superpotential(lambda r: const + c / r, lambda r: -c / r**2)
-
-
-def _coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
-    kappa, n_r = m.params["kappa"], n_max + m.ell + 1
-    return RadialGrid(1e-6 / kappa, (2.0 * n_r**2 + 21.0 * n_r) / kappa, 16001)
+def _coulomb_r_max(kappa: float, n_r: int) -> float:
+    return (2.0 * n_r**2 + 21.0 * n_r) / kappa
 
 
 def _morse_w(m: "ModelSpec") -> Superpotential:
@@ -184,20 +178,13 @@ def _sextic_w(m: "ModelSpec") -> Superpotential:
                           lambda r: -c / r**2 + (w_t + 3.0 * b * r**2))
 
 
-def _deformed_coulomb_w(m: "ModelSpec") -> Superpotential:
-    const = m.params["e2"] / (2.0 * (m.ell + 1.0))
-    w_t = m.params["omega_T"]
-    c = -(m.ell + 1.0)
-    return Superpotential(lambda r: const + c / r + w_t * r, lambda r: -c / r**2 + w_t)
-
-
 def _deformed_coulomb_window(m: "ModelSpec", n_max: int) -> RadialGrid:
     """20 / max(omega_T, e2 / 2(l+1)), widened to the shorter of the Coulomb
     (kappa = e2/2) and oscillator windows of level n_max: as omega_T -> 0 the
     model becomes Coulomb, whose levels spread far past the zero mode."""
-    e2, w_t, n_r = m.params["e2"], m.params["omega_T"], n_max + m.ell + 1
-    coulomb = (2.0 * n_r**2 + 21.0 * n_r) / (e2 / 2.0)
-    oscillator = (8.0 + 2.0 * math.sqrt(n_max + 1.0)) / math.sqrt(w_t) if w_t > 0 else math.inf
+    e2, w_t = m.params["e2"], m.params["omega_T"]
+    coulomb = _coulomb_r_max(e2 / 2.0, n_max + m.ell + 1)
+    oscillator = _oscillator_r_max(w_t, n_max) if w_t > 0 else math.inf
     zero_mode = 20.0 / max(w_t, e2 / (2.0 * (m.ell + 1.0)))
     return RadialGrid(1e-3, max(zero_mode, min(coulomb, oscillator)), 8001)
 
@@ -235,16 +222,18 @@ FAMILIES = {
              "oscillator requires omega >= 0 and B >= 0"),
             (lambda m: _omega_t(m) > 0, "oscillator requires omega_T = omega + eB/2m > 0"),
         ),
-        superpotential=_oscillator_w,
-        window=_oscillator_window,
+        superpotential=lambda m: _pole_w(m, 0.0, _omega_t(m)),
+        window=lambda m, n_max: RadialGrid(1e-6 / math.sqrt(_omega_t(m)),
+                                           _oscillator_r_max(_omega_t(m), n_max), 2801),
         epsilon_sq=lambda m, n: 4.0 * n * _omega_t(m),
         envelope=lambda m, n, r: ((m.ell + 1.0) / 2.0, _omega_t(m) * r**2, m.ell + 0.5),
     ),
     Family.COULOMB: FamilyRecord(
         params={"kappa": 1.0},
         rules=((lambda m: m.params["kappa"] > 0, "coulomb requires kappa > 0"),),
-        superpotential=_coulomb_w,
-        window=_coulomb_window,
+        superpotential=lambda m: _pole_w(m, m.params["kappa"] / (m.ell + 1.0), 0.0),
+        window=lambda m, n_max: RadialGrid(
+            1e-6 / m.params["kappa"], _coulomb_r_max(m.params["kappa"], n_max + m.ell + 1), 16001),
         epsilon_sq=lambda m, n: m.params["kappa"]**2 * (
             1.0 / (m.ell + 1.0) ** 2 - 1.0 / (n + m.ell + 1.0) ** 2),
         envelope=lambda m, n, r: (m.ell + 1.0, 2.0 * m.params["kappa"] * r / (n + m.ell + 1.0),
@@ -289,7 +278,8 @@ FAMILIES = {
         params={"e2": 1.0, "omega_T": 1.0},
         rules=((lambda m: m.params["e2"] > 0, "deformed-coulomb requires e2 > 0"),
                (lambda m: m.params["omega_T"] >= 0, "deformed-coulomb requires omega_T >= 0")),
-        superpotential=_deformed_coulomb_w,
+        superpotential=lambda m: _pole_w(m, m.params["e2"] / (2.0 * (m.ell + 1.0)),
+                                         m.params["omega_T"]),
         window=_deformed_coulomb_window,
         closed_form="ground",
         log_zero_mode=lambda m, r: ((m.ell + 1.0) * np.log(r)

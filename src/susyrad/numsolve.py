@@ -103,6 +103,14 @@ class TridiagonalOperator:
         return self.diag.tolist(), e, e2, pivmin, safe
 
 
+def _grid_samples(name: str, values, grid: RadialGrid) -> np.ndarray:
+    """values as floats, one entry per grid point, or ValueError."""
+    samples = np.asarray(values, dtype=float)
+    if samples.shape != (grid.n_points,):
+        raise ValueError(f"{name} must have one entry per grid point")
+    return samples
+
+
 def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
     """Build the Dirichlet operator for -f'' + V f = eps^2 f from potential samples.
 
@@ -110,10 +118,7 @@ def discretize(v_samples, grid: RadialGrid) -> TridiagonalOperator:
     there), so a potential that diverges exactly at a wall is fine; a
     non-finite value at any interior point is a domain error.
     """
-    v = np.asarray(v_samples, dtype=float)
-    if v.shape != (grid.n_points,):
-        raise ValueError("v_samples must have one entry per grid point")
-    interior = v[1:-1]
+    interior = _grid_samples("v_samples", v_samples, grid)[1:-1]
     if not np.all(np.isfinite(interior)):
         raise DomainError("potential is not finite on the interior of the grid")
     h = grid.h
@@ -512,9 +517,7 @@ def quadrature(f_samples, grid: RadialGrid) -> float:
 
     Even sample counts fall back to the trapezoid rule on the last interval.
     """
-    y = np.asarray(f_samples, dtype=float)
-    if y.shape != (grid.n_points,):
-        raise ValueError("f_samples must have one entry per grid point")
+    y = _grid_samples("f_samples", f_samples, grid)
     h = grid.h
     if len(y) % 2 == 1:
         return _simpson_odd(y, h)
@@ -533,9 +536,7 @@ def cumulative_quadrature(f_samples, grid: RadialGrid) -> np.ndarray:
     Even indices come from cumulated Simpson pairs; odd ones add a
     quadratic-interpolation half step, h/12 * (5 f_{j-1} + 8 f_j - f_{j+1}).
     """
-    y = np.asarray(f_samples, dtype=float)
-    if y.shape != (grid.n_points,):
-        raise ValueError("f_samples must have one entry per grid point")
+    y = _grid_samples("f_samples", f_samples, grid)
     n = len(y)
     h = grid.h
     out = np.zeros(n)

@@ -1,9 +1,10 @@
-"""Superpotentials W(r), partner potentials and the first-order ladder operators.
+"""Superpotentials W(r), partner potentials and the lowering operator.
 
 The radial problem factorizes through W = l/r + e A(r) + v(r): the
 partner potentials are V_- = W^2 - W' and V_+ = W^2 + W', the lower-partner
-zero mode is exp(-int W), and the operators (d/dr + W) / (-d/dr + W) map
-between the partner towers.
+zero mode is exp(-int W), and the lowering operator d/dr + W maps the V_-
+tower onto the V_+ one.  Its adjoint, the raising operator -d/dr + W, is
+2W - (d/dr + W) and has no function of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DomainError, ModelSpec, RadialGrid, Superpotential
-from .numsolve import cumulative_quadrature, quadrature
+from .numsolve import _grid_samples, cumulative_quadrature, quadrature
 
 #: relative size at r_max above which exp(-int W) is rejected as non-normalizable
 _DECAY_CEILING = 1e-6
@@ -65,23 +66,16 @@ def _central_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _ladder(sp: Superpotential, f_samples, grid: RadialGrid, sign: float) -> np.ndarray:
-    """Apply (sign * d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
-    f = np.asarray(f_samples, dtype=float)
-    if f.shape != (grid.n_points,):
-        raise ValueError("f_samples must have one entry per grid point")
+def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
+    """Apply (d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
+    f = _grid_samples("f_samples", f_samples, grid)
     w = _sample(sp.w, grid.points())
     # W may blow up at a wall where f has an exact zero; that wall value is
     # meaningless downstream, so pin it instead of propagating inf * 0.
     with np.errstate(invalid="ignore", over="ignore"):
-        out = sign * _central_derivative(f, grid.h) + w * f
+        out = _central_derivative(f, grid.h) + w * f
     out[~np.isfinite(out)] = 0.0
     return out
-
-
-def apply_lowering(sp: Superpotential, f_samples, grid: RadialGrid) -> np.ndarray:
-    """Apply (d/dr + W) to tabulated f; O(h^2) finite-difference derivative."""
-    return _ladder(sp, f_samples, grid, 1.0)
 
 
 def ground_state_from_w(sp: Superpotential, grid: RadialGrid) -> np.ndarray:

@@ -25,6 +25,7 @@ from susyrad import (
     anharmonic_model,
     cli,
     coulomb_model,
+    custom_model,
     deformed_coulomb_model,
     eigenvector,
     lowest_eigenvalues,
@@ -395,6 +396,37 @@ def test_check_table_counts_the_levels_each_runner_reads(monkeypatch, family, na
         ["verify", "--model", family, "--checks", name]))
     cli.CHECKS[name].run(cfg)
     assert asked[0] == cli.CHECKS[name].levels(cfg.model, cfg.n_max) == cfg.levels
+
+
+@pytest.mark.parametrize("w_prime,compared", [(50.0, ()), (0.6, (2, 3))])
+def test_intertwine_compares_only_the_positive_levels(capsys, tmp_path, w_prime, compared):
+    """W = 0 and W' = w_prime make V- = -w_prime on [0, 10]: at 50 levels 1-3
+    are all negative, so intertwine has nothing to compare and cannot run
+    (exit 3); at 0.6 levels 0 and 1 are, and it compares levels 2-3 alone."""
+    grid = RadialGrid(0.0, 10.0, 201)
+    config = {"model": "custom", "grid": [0, 10, 201], "w_samples": [0.0] * 201,
+              "w_prime_samples": [w_prime] * 201}
+    (tmp_path / "w.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(tmp_path / "w.json"))
+    (entry,) = json.loads(out)["entries"]
+    assert entry["check"] == "intertwine" and err == ""
+    if not compared:
+        assert code == 3 and entry["metric"] is None
+        assert entry["detail"].startswith("error: NumericError: ")
+        return
+    op = numsolve.discretize(np.full(201, -w_prime), grid)
+    eigs = lowest_eigenvalues(op, 4)
+    assert eigs[1] <= 0.0 < eigs[2]
+    sp = superpot.superpotential_from_model(custom_model(grid, config["w_samples"],
+                                                         config["w_prime_samples"]))
+    defects = []
+    for i in compared:
+        img = superpot.apply_lowering(sp, eigenvector(op, eigs[i]), grid)
+        nrm = math.sqrt(quadrature(img * img, grid))
+        defects.append(abs(nrm - math.sqrt(eigs[i])) / math.sqrt(eigs[i]))
+    assert entry["detail"] == "relative norm defect of lowered levels 2-3"
+    assert entry["metric"] == pytest.approx(max(defects), rel=1e-12)
+    assert code == (0 if entry["metric"] < 1e-2 else 1)
 
 
 def test_verify_checks_subset_in_canonical_order(capsys):

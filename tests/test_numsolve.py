@@ -14,6 +14,7 @@ from susyrad import (
     DomainError,
     NumericError,
     RadialGrid,
+    apply_lowering,
     cumulative_quadrature,
     discretize,
     eigenvector,
@@ -266,6 +267,28 @@ def test_cumulative_quadrature_even_count_final_point():
     r = grid.points()
     run = cumulative_quadrature(r**2, grid)
     assert run[-1] == pytest.approx(8.0 / 3.0, rel=1e-10)
+
+
+_SAMPLE_READERS = {
+    "discretize": ("v_samples", discretize),
+    "quadrature": ("f_samples", quadrature),
+    "cumulative_quadrature": ("f_samples", cumulative_quadrature),
+    "apply_lowering": ("f_samples", lambda f, grid: apply_lowering(
+        superpotential_from_model(oscillator_model(1.0)), f, grid)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_SAMPLE_READERS))
+@pytest.mark.parametrize("shape", [(10,), (12,), (11, 1), ()],
+                         ids=["short", "long", "column", "scalar"])
+def test_samples_need_one_entry_per_grid_point(reader, shape):
+    """Every function that reads samples on a grid refuses any other shape
+    with the same message, and takes a list of 11 numbers."""
+    name, read = _SAMPLE_READERS[reader]
+    grid = RadialGrid(0.5, 1.5, 11)
+    with pytest.raises(ValueError, match=f"^{name} must have one entry per grid point$"):
+        read(np.ones(shape), grid)
+    read([1] * 11, grid)
 
 
 def _partner_deviations(model, grid):

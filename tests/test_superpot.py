@@ -24,7 +24,7 @@ from susyrad import (
     sextic_model,
     superpotential_from_model,
 )
-from susyrad.superpot import _ladder, normalized_zero_mode
+from susyrad.superpot import normalized_zero_mode
 
 ALL_MODELS = [
     oscillator_model(1.0, 0.0, ell=0),
@@ -153,8 +153,9 @@ def test_lowering_at_a_singular_wall_warns_nothing():
 
 
 def _raising(sp, f, grid):
-    """A+ = -d/dr + W, the adjoint of apply_lowering, on the same stencil."""
-    return _ladder(sp, f, grid, -1.0)
+    """A+ = -d/dr + W = 2W - (d/dr + W), the adjoint of apply_lowering, on
+    the same stencil."""
+    return 2.0 * sp.w(grid.points()) * f - apply_lowering(sp, f, grid)
 
 
 def test_raising_after_lowering_scales_by_epsilon_sq():

@@ -22,7 +22,9 @@ covers every family (a custom model from a generated config included),
 every subcommand x method x format, several ``--n`` / ``--n-max`` values and
 ``--checks`` subsets, small, negative and even-count grids, refusals (config
 files that hold no JSON object among them), parameters or windows at the
-edge of the float range, and the help texts (at
+edge of the float range, tabulated models whose V- levels 1-3 are all or
+partly negative (``intertwine`` cannot run, or compares fewer levels), and
+the help texts (at
 ``COLUMNS=80``, so that their widths do not follow the terminal).
 
 The bytes are the same on one machine whatever the BLAS thread count, but
@@ -143,8 +145,10 @@ EXTREME = (
 
 #: config files the battery reads besides the tabulated W: text samples, a key
 #: that spectrum does not read, booleans or fractions where integers belong,
-#: custom models without samples or without a grid, an overflowing window, and
-#: files that hold no JSON object (a string is written as it stands)
+#: custom models without samples or without a grid, an overflowing window,
+#: files that hold no JSON object (a string is written as it stands), and
+#: W = 0 with a constant W', so V- = -W': at 50 levels 1-3 are negative, at
+#: 0.6 levels 0 and 1
 CONFIGS = {
     "bad.json": {"model": "custom", "grid": [0, 6, 5],
                  "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5},
@@ -161,6 +165,11 @@ CONFIGS = {
                            "w_samples": [1.0] * 5, "w_prime_samples": [0.0] * 5},
     "not_json.json": '{"model": "oscillator",',
     "not_object.json": [1, 2, 3],
+    "negative_levels.json": {"model": "custom", "grid": [0, 10, 201],
+                             "w_samples": [0.0] * 201, "w_prime_samples": [50.0] * 201},
+    "partly_negative_levels.json": {"model": "custom", "grid": [0, 10, 201],
+                                    "w_samples": [0.0] * 201,
+                                    "w_prime_samples": [0.6] * 201},
 }
 
 
@@ -216,6 +225,9 @@ def battery(path: dict) -> list:
                 for name in ("float_n_max.json", "fraction_n_max.json", "no_samples.json",
                              "no_grid.json", "not_json.json", "not_object.json"))
     runs.append(["partner", "--config", path["overflow_grid.json"]])
+    for name in ("negative_levels.json", "partly_negative_levels.json"):
+        runs.append(["verify", "--config", path[name]])
+        runs.append(["verify", "--config", path[name], "--checks", "intertwine"])
     return runs
 
 
