@@ -1,5 +1,5 @@
 """Command-line interface: the subcommands and the settings each reads are
-the table COMMANDS.
+the table COMMANDS, from which build_parser makes one parser per process.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify ran but at least
 one check failed, 2 usage/configuration error, 3 runtime failure inside the
@@ -21,13 +21,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import analytic as _analytic
-from . import qes as _qes
 from .core import (
     FAMILIES,
     ConfigurationError,
@@ -186,8 +185,16 @@ def _check_orthonormal(cfg):
     return float(np.max(np.abs(gram - np.eye(len(vecs))))), tol, detail
 
 
+def zero_mode_residual(f0: np.ndarray, v_minus: np.ndarray, grid: RadialGrid) -> float:
+    """sup |(-f0'' + V_- f0)| / sup |f0| over the grid interior, with the
+    three-point Laplacian; nan when a term leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = (f0[2:] - 2.0 * f0[1:-1] + f0[:-2]) / grid.h**2
+        return float(np.max(np.abs(-lap + v_minus[1:-1] * f0[1:-1])) / np.max(np.abs(f0)))
+
+
 def _check_ground_residual(cfg):
-    residual = _qes.zero_mode_residual(cfg.zero_mode, cfg.partners.v_minus, cfg.grid)
+    residual = zero_mode_residual(cfg.zero_mode, cfg.partners.v_minus, cfg.grid)
     return residual, 50.0 * cfg.grid.h**2, "sup residual of the zero mode at epsilon^2 = 0"
 
 
@@ -395,9 +402,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand, so --help and an unknown command read the same, but flags
-    on `command` only (on every subcommand when None): an invocation parses one."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with the flags it reads, built once per process on first
+    use: parsing does not change the parser, and help reads COLUMNS when shown."""
     parser = _Parser(
         prog="susyrad", allow_abbrev=False,
         description="Radial bound states via superpotential factorization: "
@@ -422,8 +430,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     }
     for name, (text, reads) in COMMANDS.items():
         s = sub.add_parser(name, help=text, allow_abbrev=False)  # full flag names only
-        if command not in (None, name):
-            continue
         for key in ("model", "grid", *takers, *reads, "config"):
             kind, help_text = flags[key]
             s.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
@@ -456,10 +462,10 @@ def _parse_grid(value) -> RadialGrid:
         raise UsageError("grid must be 'rmin,rmax,npts'")
     try:
         r_min, r_max, npts = (_number(p) for p in parts)
-        n_points = int(npts)
+        n_points = None if math.isinf(npts) else int(npts)
     except (TypeError, ValueError):
         raise UsageError("grid must be 'rmin,rmax,npts' with numeric entries")
-    if n_points != npts:
+    if n_points != npts:  # a fraction, or an infinite NPTS (None)
         raise UsageError(f"grid NPTS must be an integer, got {parts[2]!r}")
     try:
         return RadialGrid(r_min, r_max, n_points)
@@ -617,7 +623,7 @@ def main(argv=None) -> int:
                 and re.match(r"-\.?\d", argv[i + 1]):
             argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "spectrum":
             sys.stdout.write(render_spectrum(cmd_spectrum(cfg), cfg.output_format))
@@ -642,7 +648,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except (DomainError, ConfigurationError, NumericError, ValueError) as exc:
+    except (NumericError, ValueError) as exc:  # DomainError and ConfigurationError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:  # numpy's message names the allocation that failed

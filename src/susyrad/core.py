@@ -98,14 +98,12 @@ class FamilyRecord:
         returns False on the spec raises ConfigurationError(message).
     superpotential: spec -> Superpotential, the closed form of W.
     window: (spec, n_max) -> the default RadialGrid.
-    closed_form: which levels are known in closed form: "all" (spectrum and
-        states), "ground" (only the zero mode: the QES families) or "none".
-    epsilon_sq: (spec, n) -> closed-form epsilon^2_n of an "all" family.
+    epsilon_sq: (spec, n) -> closed-form epsilon^2_n of a solvable family.
     tower_top: spec -> highest bound level of a finite tower; None when the
         tower does not end.
-    envelope: (spec, n, r) -> (k, z, alpha) of an "all" family: the lower
+    envelope: (spec, n, r) -> (k, z, alpha) of a solvable family: the lower
         state of level n is z^k e^{-z/2} L_n^alpha(z) with z = z(r).
-    log_zero_mode: (spec, r) -> log f_0 up to a constant, for "ground" families.
+    log_zero_mode: (spec, r) -> log f_0 up to a constant, for a QES family.
     has_ell: ell is a free label (it must then be >= 0); otherwise it is 0.
     """
 
@@ -113,12 +111,19 @@ class FamilyRecord:
     rules: tuple
     superpotential: Callable
     window: Callable
-    closed_form: str = "all"
     epsilon_sq: Callable | None = None
     tower_top: Callable | None = None
     envelope: Callable | None = None
     log_zero_mode: Callable | None = None
     has_ell: bool = True
+
+    @property
+    def closed_form(self) -> str:
+        """Levels known in closed form, read from what the record holds: "all" (an
+        envelope: spectrum and states), "ground" (a log_zero_mode only) or "none"."""
+        if self.envelope is not None:
+            return "all"
+        return "none" if self.log_zero_mode is None else "ground"
 
 
 def _omega_t(m: "ModelSpec") -> float:
@@ -259,7 +264,6 @@ FAMILIES = {
                (lambda m: m.params["b"] >= 0, "anharmonic requires b >= 0")),
         superpotential=_anharmonic_w,
         window=lambda m, n_max: RadialGrid(0.0, _decay_r_max(m, 0.0), 6001),
-        closed_form="ground",
         log_zero_mode=lambda m, r: -(m.params["b"] * r**3 / 3.0
                                      + m.params["omega_T"] * r**2 / 2.0 + m.params["a"] * r),
         has_ell=False,
@@ -270,7 +274,6 @@ FAMILIES = {
                (lambda m: m.params["b"] >= 0, "sextic requires b >= 0")),
         superpotential=_sextic_w,
         window=lambda m, n_max: RadialGrid(1e-5, _decay_r_max(m, 1e-5), 6001),
-        closed_form="ground",
         log_zero_mode=lambda m, r: ((m.ell * np.log(r) if m.ell else 0.0)
                                     - m.params["omega_T"] * r**2 / 2.0 - m.params["b"] * r**4 / 4.0),
     ),
@@ -281,7 +284,6 @@ FAMILIES = {
         superpotential=lambda m: _pole_w(m, m.params["e2"] / (2.0 * (m.ell + 1.0)),
                                          m.params["omega_T"]),
         window=_deformed_coulomb_window,
-        closed_form="ground",
         log_zero_mode=lambda m, r: ((m.ell + 1.0) * np.log(r)
                                     - m.params["omega_T"] * r**2 / 2.0
                                     - m.params["e2"] * r / (2.0 * (m.ell + 1.0))),
@@ -302,7 +304,6 @@ FAMILIES = {
         superpotential=_custom_w,
         # the tabulated window is the only sensible default
         window=lambda m, n_max: m.params["grid"],
-        closed_form="none",
         has_ell=False,
     ),
 }

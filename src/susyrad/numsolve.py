@@ -540,10 +540,9 @@ def cumulative_quadrature(f_samples, grid: RadialGrid) -> np.ndarray:
     n = len(y)
     h = grid.h
     out = np.zeros(n)
-    m = (n - 1) // 2
-    if m > 0:
-        pairs = h / 3.0 * (y[0:2 * m - 1:2] + 4.0 * y[1:2 * m:2] + y[2:2 * m + 1:2])
-        out[2:2 * m + 1:2] = np.cumsum(pairs)
+    m = (n - 1) // 2  # at least 1: a grid has at least 3 points
+    pairs = h / 3.0 * (y[0:2 * m - 1:2] + 4.0 * y[1:2 * m:2] + y[2:2 * m + 1:2])
+    out[2:2 * m + 1:2] = np.cumsum(pairs)
     j = np.arange(1, n, 2)
     j_in = j[j <= n - 2]
     out[j_in] = out[j_in - 1] + h / 12.0 * (5.0 * y[j_in - 1] + 8.0 * y[j_in] - y[j_in + 1])

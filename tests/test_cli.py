@@ -231,6 +231,21 @@ def test_wavefunction_qes_excited_analytic_is_usage_error(capsys):
     assert "numeric" in err
 
 
+@pytest.mark.parametrize("w_prime", [50.0, 0.6])
+def test_numeric_wavefunction_at_a_nonpositive_level_is_a_runtime_error(capsys, tmp_path,
+                                                                       w_prime):
+    """V- = -w_prime puts level 1 at epsilon^2 <= 0 (all of levels 1-3 at 50,
+    levels 0 and 1 at 0.6), where f_+ = A f_- / epsilon cannot be formed: one
+    error line naming why, exit 3, and no output."""
+    cfgfile = tmp_path / "w.json"
+    cfgfile.write_text(json.dumps({"model": "custom", "grid": [0, 10, 201],
+                                   "w_samples": [0.0] * 201,
+                                   "w_prime_samples": [w_prime] * 201}))
+    assert run_cli(capsys, "wavefunction", "--config", str(cfgfile), "--method", "numeric",
+                   "--n", "1") == (3, "", "error: cannot form the upper component at "
+                                          "epsilon^2 <= 0\n")
+
+
 # ---------------------------------------------------------------- partner
 
 
@@ -339,6 +354,18 @@ def test_verify_sextic_at_ell_0_keeps_its_zero_mode_checks_from_r_0(capsys):
     doc = json.loads(out)
     assert [e["check"] for e in doc["entries"]] == ["intertwine", "orthonormal", "ground_residual"]
     assert doc["all_passed"] is True
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_default_sextic_verify_at_higher_ell_passes_every_check(capsys, ell):
+    """At ell >= 1 the sextic zero mode r^ell exp(-r^2/2 - r^4/4) rises from the
+    wall at r = 0 before it decays; the default window reaches past its right
+    flank, so all five checks run and pass."""
+    code, out, err = run_cli(capsys, "verify", "--model", "sextic", "--ell", str(ell))
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert [e["check"] for e in doc["entries"]] == list(cli.CHECKS)
+    assert all(e["status"] == "pass" for e in doc["entries"])
 
 
 def test_verify_wall_compatible_qes_gets_spectral_checks(capsys):
@@ -548,6 +575,17 @@ def test_default_verify_solves_each_operator_once(capsys, monkeypatch, family):
         assert text in out and text in alone
 
 
+def test_run_config_eigenvectors_are_read_only():
+    """A check cannot change the shared vector that the next check reads."""
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["verify", "--model", "oscillator", "--grid", "0.01,6,201"]))
+    vec = cfg.eigenvector(1)
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec *= 2.0
+    assert cfg.eigenvector(1) is vec
+
+
 def test_verify_report_is_deterministic(capsys):
     args = ("verify", "--model", "oscillator", "--checks", "orthonormal")
     _, out1, _ = run_cli(capsys, *args)
@@ -604,6 +642,14 @@ def test_unknown_config_key_is_usage_error(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("family", [f.value for f in Family if f is not Family.CUSTOM])
+def test_a_built_in_family_config_refuses_tabulated_samples(capsys, tmp_path, family):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"model": family, "w_samples": [1.0] * 5}))
+    assert run_cli(capsys, "spectrum", "--config", str(cfgfile)) == (
+        2, "", f"error: unknown config keys for spectrum --model {family}: w_samples\n")
+
+
 def test_malformed_grid_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--model", "oscillator",
                            "--grid", "1,2")
@@ -618,12 +664,37 @@ def test_integral_grid_point_count_reads_in_any_float_spelling(capsys):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("grid,shown", [("0,1,inf", "'inf'"), ("0,1,1e400", "'1e400'"),
+                                        ([0, 1, math.inf], "inf")],
+                         ids=["flag-inf", "flag-beyond-float", "config-infinity"])
+def test_an_infinite_grid_npts_gets_the_npts_refusal(capsys, tmp_path, grid, shown):
+    """An NPTS beyond the float range, from a flag or as JSON Infinity in a
+    config file, is refused as a non-integer NPTS, shown as it was given."""
+    argv = ["spectrum", "--grid", grid]
+    if not isinstance(grid, str):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"grid": grid}))
+        argv = ["spectrum", "--config", str(cfgfile)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: grid NPTS must be an integer, got {shown}\n")
+
+
 def test_build_parser_without_a_command_takes_every_subcommand_flag():
     parser = cli.build_parser()
     for command, (_, reads) in cli.COMMANDS.items():
         flags = [f"--{key.replace('_', '-')}=0" for key in reads if key != "checks"]
         args = parser.parse_args([command, "--omega=2", *flags])
         assert args.command == command and args.omega == 2.0
+
+
+def test_one_parser_serves_every_invocation_of_a_process(capsys, monkeypatch):
+    """build_parser builds once; parsing leaves the parser as it was, so help,
+    a refusal and a run read the same the second time."""
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["spectrum", "--help"], ["spectrum", "--bogus", "1"], ["spectrum"]):
+        first = run_cli(capsys, *argv)
+        assert first[1] or first[2]
+        assert run_cli(capsys, *argv) == first
 
 
 def test_negative_r_min_grid_reads_with_a_space_or_an_equals_sign(capsys):

@@ -34,6 +34,22 @@ def test_cli_import_loads_numpy_only():
     assert out == "[]\n"
 
 
+def test_cli_import_builds_no_parser_and_the_first_use_builds_one():
+    """setup time is the import: the argparse parser is built on first use,
+    once per process."""
+    code = ("import argparse, sys; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import susyrad.cli as cli; counts = [len(built)]; cli.build_parser(); "
+            "counts.append(len(built)); cli.main(['spectrum', '--help']); "
+            "counts.append(len(built)); print(*counts, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stderr
+    on_import, first_use, after_a_run = map(int, err.split())
+    assert on_import == 0 and first_use > 0 and after_a_run == first_use
+
+
 def test_all_resolves_and_lists_every_public_binding():
     assert all(hasattr(susyrad, name) for name in susyrad.__all__)
     public = {name for name, value in vars(susyrad).items()

@@ -23,7 +23,7 @@ from susyrad import (
     sextic_model,
     superpotential_from_model,
 )
-from susyrad.qes import zero_mode_residual
+from susyrad.cli import zero_mode_residual
 
 RNG_RADII = np.random.default_rng(20260815).uniform(0.05, 6.0, size=100)
 

@@ -21,10 +21,12 @@ invocation whose stdout bytes, exit code or message moved.  The battery
 covers every family (a custom model from a generated config included),
 every subcommand x method x format, several ``--n`` / ``--n-max`` values and
 ``--checks`` subsets, small, negative and even-count grids, refusals (config
-files that hold no JSON object among them), parameters or windows at the
-edge of the float range, tabulated models whose V- levels 1-3 are all or
-partly negative (``intertwine`` cannot run, or compares fewer levels), and
-the help texts (at
+files that hold no JSON object, a built-in family's config that holds
+``w_samples``, and an infinite NPTS among them), parameters or windows at
+the edge of the float range, tabulated models whose V- levels 1-3 are all or
+partly negative (``intertwine`` cannot run, or compares fewer levels, and a
+numeric wavefunction at such a level has no upper component), default
+``verify`` on the sextic at ell = 3 and 5, and the help texts (at
 ``COLUMNS=80``, so that their widths do not follow the terminal).
 
 The bytes are the same on one machine whatever the BLAS thread count, but
@@ -141,22 +143,30 @@ EXTREME = (
     # a reversed window and an unknown format
     ("spectrum", "--grid", "5,1,11"),
     ("spectrum", "--format", "xml"),
+    # an NPTS beyond the float range
+    ("spectrum", "--grid", "0,1,inf"),
+    ("spectrum", "--grid", "0,1,1e400"),
+    # the sextic default window at larger ell, where the zero mode peaks off the wall
+    ("verify", "--model", "sextic", "--ell", "3"),
+    ("verify", "--model", "sextic", "--ell", "5"),
 )
 
-#: config files the battery reads besides the tabulated W: text samples, a key
-#: that spectrum does not read, booleans or fractions where integers belong,
-#: custom models without samples or without a grid, an overflowing window,
-#: files that hold no JSON object (a string is written as it stands), and
-#: W = 0 with a constant W', so V- = -W': at 50 levels 1-3 are negative, at
-#: 0.6 levels 0 and 1
+#: config files the battery reads besides the tabulated W: text samples, keys
+#: that spectrum or the oscillator does not read, booleans or fractions where
+#: integers belong, an infinite NPTS, custom models without samples or without
+#: a grid, an overflowing window, files that hold no JSON object (a string is
+#: written as it stands), and W = 0 with a constant W', so V- = -W': at 50
+#: levels 1-3 are negative, at 0.6 levels 0 and 1
 CONFIGS = {
     "bad.json": {"model": "custom", "grid": [0, 6, 5],
                  "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5},
     "stray.json": {"model": "oscillator", "checks": "isospectral"},
+    "oscillator_samples.json": {"model": "oscillator", "w_samples": [1.0] * 5},
     "bool_params.json": {"model": "coulomb", "kappa": True, "ell": False},
     "bool_n_max.json": {"model": "oscillator", "n_max": True},
     "bool_grid.json": {"model": "oscillator", "grid": [0.5, True, 11]},
     "fraction_grid.json": {"model": "oscillator", "grid": [0.5, 3, 11.7]},
+    "infinite_npts.json": {"model": "oscillator", "grid": [0, 1, float("inf")]},
     "float_n_max.json": {"model": "oscillator", "n_max": 2.0},
     "fraction_n_max.json": {"model": "oscillator", "n_max": 2.5},
     "no_samples.json": {"model": "custom", "grid": "0,6,601"},
@@ -228,6 +238,11 @@ def battery(path: dict) -> list:
     for name in ("negative_levels.json", "partly_negative_levels.json"):
         runs.append(["verify", "--config", path[name]])
         runs.append(["verify", "--config", path[name], "--checks", "intertwine"])
+    runs.append(["spectrum", "--config", path["infinite_npts.json"]])
+    runs.append(["spectrum", "--config", path["oscillator_samples.json"]])
+    for name in ("negative_levels.json", "partly_negative_levels.json"):
+        runs.append(["wavefunction", "--config", path[name], "--method", "numeric",
+                     "--n", "1"])
     return runs
 
 
