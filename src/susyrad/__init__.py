@@ -3,7 +3,8 @@
 The package builds W(r) for six potential families, forms the SUSY partner
 potentials V_-+ = W^2 -+ W', evaluates the closed-form spectra and
 wavefunctions where they exist, and verifies everything against an
-independent finite-difference eigensolver.
+independent finite-difference eigensolver.  The quasi-exactly-solvable
+helpers are not re-exported: import them from susyrad.qes.
 """
 
 from .core import (
@@ -38,10 +39,6 @@ from .numsolve import (
     lowest_eigenvalues,
     quadrature,
     sturm_count,
-)
-from .qes import (
-    qes_ground_state,
-    qes_numeric_spectrum,
 )
 from .superpot import (
     PartnerPotentials,
@@ -84,8 +81,6 @@ __all__ = [
     "omega_total",
     "oscillator_model",
     "partner_potentials",
-    "qes_ground_state",
-    "qes_numeric_spectrum",
     "quadrature",
     "sextic_model",
     "sturm_count",

@@ -211,30 +211,29 @@ def _check_analytic_vs_numeric(cfg):
 @dataclass(frozen=True)
 class Check:
     """One verify check: `run(cfg) -> (metric, tolerance, detail)` passes when
-    metric < tolerance and reads `levels(model, n_max)` V- levels. Its premises:
-    the closed-form zero mode exists on the window, and it clears the wall at
-    r_min (else the check is left out by default); the family has closed-form
-    levels (else it is left out or refused)."""
+    metric < tolerance; `reads(model, n_max)` is (V- levels it reads from the
+    one solve, top closed-form level it reads or -1); `needs` holds the run
+    facts it premises (see default_checks): without one it is left out by
+    default, and named, it is refused if it reads a closed form the family lacks."""
 
     run: Callable
-    levels: Callable
-    needs_zero_mode: bool = False
-    needs_clear_wall: bool = False
-    needs_closed_form: bool = False
+    reads: Callable
+    needs: frozenset = frozenset()
 
 
 #: every check, in report order
 CHECKS = {
-    "isospectral": Check(_check_isospectral, lambda m, n_max: 4, needs_clear_wall=True),
-    "intertwine": Check(_check_intertwine, lambda m, n_max: 4),
+    "isospectral": Check(_check_isospectral, lambda m, n_max: (4, -1), frozenset({"clear_wall"})),
+    "intertwine": Check(_check_intertwine, lambda m, n_max: (4, -1)),
     # the closed-form states of a solvable family exist where its zero mode does
     "orthonormal": Check(_check_orthonormal,
-                         lambda m, n_max: 0 if m.record.closed_form == "all" else 3,
-                         needs_zero_mode=True),
-    "ground_residual": Check(_check_ground_residual, lambda m, n_max: 0, needs_zero_mode=True),
+                         lambda m, n_max: (0 if m.record.closed_form == "all" else 3, -1),
+                         frozenset({"zero_mode"})),
+    "ground_residual": Check(_check_ground_residual, lambda m, n_max: (0, -1),
+                             frozenset({"zero_mode"})),
     "analytic_vs_numeric": Check(_check_analytic_vs_numeric,
-                                 lambda m, n_max: 1 if m.is_qes else n_max + 1,
-                                 needs_clear_wall=True, needs_closed_form=True),
+                                 lambda m, n_max: (1, 0) if m.is_qes else (n_max + 1, n_max),
+                                 frozenset({"clear_wall", "closed_form"})),
 }
 
 #: the runners as a plain name -> function dict, the one table
@@ -243,21 +242,19 @@ _CHECK_RUNNERS = {name: check.run for name, check in CHECKS.items()}
 
 
 def default_checks(model: ModelSpec, grid: RadialGrid, cfg: RunConfig | None = None) -> tuple:
-    """Checks whose premises hold for this model on this window, judged on
-    cfg.zero_mode, the array the checks read (a fresh RunConfig's if no cfg).
-    The zero mode exists when it can be built and decays by r_max; the
-    Dirichlet wall at r_min is clear when the zero mode there is below 1e-3 of
-    its peak (on a 1/r pole of W at r_min = 0 it is 0, its limit)."""
+    """Checks whose needs are among the run's facts: "closed_form" when the
+    family record holds closed-form levels; "zero_mode" when cfg.zero_mode (a
+    fresh RunConfig's if no cfg), the array the checks read, can be built and
+    decays by r_max; "clear_wall" when at r_min it is below 1e-3 of its peak
+    (on a 1/r pole of W at r_min = 0 it is 0, its limit)."""
+    facts = set() if model.record.closed_form == "none" else {"closed_form"}
     try:
         f0 = (cfg or RunConfig(model, grid)).zero_mode
-        has_zero_mode, wall_clear = True, abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
+        clear = abs(f0[0]) <= 1e-3 * float(np.max(np.abs(f0)))
+        facts |= {"zero_mode", "clear_wall"} if clear else {"zero_mode"}
     except (DomainError, NumericError):
-        has_zero_mode = wall_clear = False
-    has_closed_form = model.record.closed_form != "none"
-    return tuple(name for name, check in CHECKS.items()
-                 if (has_zero_mode or not check.needs_zero_mode)
-                 and (wall_clear or not check.needs_clear_wall)
-                 and (has_closed_form or not check.needs_closed_form))
+        pass
+    return tuple(name for name, check in CHECKS.items() if check.needs <= facts)
 
 
 def run_verification(cfg: RunConfig) -> dict:
@@ -463,7 +460,7 @@ def _parse_grid(value) -> RadialGrid:
     try:
         r_min, r_max, npts = (_number(p) for p in parts)
         n_points = None if math.isinf(npts) else int(npts)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError("grid must be 'rmin,rmax,npts' with numeric entries")
     if n_points != npts:  # a fraction, or an infinite NPTS (None)
         raise UsageError(f"grid NPTS must be an integer, got {parts[2]!r}")
@@ -580,11 +577,7 @@ def resolve_config(args) -> RunConfig:
     cfg.checks = names
 
     # a reader: V- levels read from the one solve, top closed-form level read (-1: none)
-    readers = []
-    for c in names:
-        count = CHECKS[c].levels(model, n_max)
-        readers.append((f"the {c} check", count,
-                        count - 1 if CHECKS[c].needs_closed_form else -1, "--n-max"))
+    readers = [(f"the {c} check", *CHECKS[c].reads(model, n_max), "--n-max") for c in names]
     if args.command == "spectrum":
         readers.append((f"--n-max {n_max}", 0 if method == "analytic" else n_max + 1,
                         -1 if method == "numeric" else n_max, "--n-max"))

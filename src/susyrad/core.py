@@ -389,7 +389,7 @@ def custom_model(grid: RadialGrid, w_samples, w_prime_samples) -> ModelSpec:
 def _float_samples(name: str, values) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"custom {name} must be numbers") from None
 
 

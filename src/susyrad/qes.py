@@ -6,7 +6,8 @@ finite-difference solver.  The closed-form f_0 is analytic.closed_form_state,
 sampled from the family record's log_zero_mode, so it does not pass through
 the quadrature of W in superpot.ground_state_from_w and the two can be
 cross-checked; cli.zero_mode_residual, the metric of verify's ground_residual
-check, is how well it solves V_-.
+check, is how well it solves V_-.  Neither the package namespace nor the CLI
+imports this module: tests and the benchmark import its helpers from here.
 """
 
 from __future__ import annotations

@@ -30,14 +30,13 @@ from susyrad import (
     morse_model,
     oscillator_model,
     partner_potentials,
-    qes_ground_state,
-    qes_numeric_spectrum,
     quadrature,
     sextic_model,
     superpotential_from_model,
 )
 from susyrad.cli import main, zero_mode_residual
 from susyrad.numsolve import isospectral_check
+from susyrad.qes import qes_ground_state, qes_numeric_spectrum
 
 OSC_LEVELS = [0.0, 4.0, 8.0, 12.0, 16.0]
 COULOMB_LEVELS = [0.0, 3.0 / 4.0, 8.0 / 9.0, 15.0 / 16.0]

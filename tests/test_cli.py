@@ -368,6 +368,25 @@ def test_default_sextic_verify_at_higher_ell_passes_every_check(capsys, ell):
     assert all(e["status"] == "pass" for e in doc["entries"])
 
 
+def test_default_verify_on_a_tabulated_w_runs_the_checks_that_need_no_closed_form(
+        capsys, tmp_path):
+    """W = r - 5 on [0, 12] makes V- = (r - 5)^2 - 1, whose zero mode
+    exp(-(r - 5)^2 / 2) clears the wall at r = 0 and decays by r = 12. A
+    tabulated W has no level in closed form, so analytic_vs_numeric is left
+    out and the other four checks run and pass."""
+    r = np.linspace(0.0, 12.0, 1201)
+    cfgfile = tmp_path / "shifted.json"
+    cfgfile.write_text(json.dumps({"model": "custom", "grid": [0, 12, 1201],
+                                   "w_samples": (r - 5.0).tolist(),
+                                   "w_prime_samples": [1.0] * 1201}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfgfile))
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert [e["check"] for e in doc["entries"]] == [
+        "isospectral", "intertwine", "orthonormal", "ground_residual"]
+    assert all(e["status"] == "pass" for e in doc["entries"])
+
+
 def test_verify_wall_compatible_qes_gets_spectral_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "anharmonic",
                            "--a", "-8")
@@ -422,7 +441,7 @@ def test_check_table_counts_the_levels_each_runner_reads(monkeypatch, family, na
     cfg = cli.resolve_config(cli.build_parser().parse_args(
         ["verify", "--model", family, "--checks", name]))
     cli.CHECKS[name].run(cfg)
-    assert asked[0] == cli.CHECKS[name].levels(cfg.model, cfg.n_max) == cfg.levels
+    assert asked[0] == cli.CHECKS[name].reads(cfg.model, cfg.n_max)[0] == cfg.levels
 
 
 @pytest.mark.parametrize("w_prime,compared", [(50.0, ()), (0.6, (2, 3))])
@@ -676,6 +695,29 @@ def test_an_infinite_grid_npts_gets_the_npts_refusal(capsys, tmp_path, grid, sho
         cfgfile.write_text(json.dumps({"grid": grid}))
         argv = ["spectrum", "--config", str(cfgfile)]
     assert run_cli(capsys, *argv) == (2, "", f"error: grid NPTS must be an integer, got {shown}\n")
+
+
+NUMERIC_ENTRIES = "grid must be 'rmin,rmax,npts' with numeric entries"
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"grid": [10**400, 1, 11]}, NUMERIC_ENTRIES),
+    ({"grid": [0, 10**400, 11]}, NUMERIC_ENTRIES),
+    ({"grid": [0, 1, 10**400]}, NUMERIC_ENTRIES),
+    ({"model": "custom", "grid": [0, 1, 3], "w_samples": [10**400, 0, 0],
+      "w_prime_samples": [0, 0, 0]},
+     "invalid model configuration: custom w_samples must be numbers"),
+    ({"model": "custom", "grid": [0, 1, 3], "w_samples": [0, 0, 0],
+      "w_prime_samples": [0, 10**400, 0]},
+     "invalid model configuration: custom w_prime_samples must be numbers"),
+], ids=["grid-r_min", "grid-r_max", "grid-npts", "w_samples", "w_prime_samples"])
+def test_a_config_integer_beyond_the_float_range_is_refused_as_not_a_number(
+        capsys, tmp_path, config, message):
+    """A 400-digit JSON integer has no float: a grid entry of that size gets
+    the grid's own refusal, a tabulated sample the samples' one."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    assert run_cli(capsys, "spectrum", "--config", str(cfgfile)) == (2, "", f"error: {message}\n")
 
 
 def test_build_parser_without_a_command_takes_every_subcommand_flag():

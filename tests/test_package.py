@@ -34,6 +34,18 @@ def test_cli_import_loads_numpy_only():
     assert out == "[]\n"
 
 
+def test_cli_import_does_not_load_qes():
+    """The package does not re-export the quasi-exactly-solvable helpers, and
+    the CLI reads the closed-form zero mode from analytic, so qes stays
+    unloaded until it is imported by name."""
+    code = "import sys, susyrad.cli; print('susyrad.qes' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out == "False\n"
+    assert not hasattr(susyrad, "qes_ground_state")
+
+
 def test_cli_import_builds_no_parser_and_the_first_use_builds_one():
     """setup time is the import: the argparse parser is built on first use,
     once per process."""

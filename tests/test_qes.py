@@ -17,13 +17,12 @@ from susyrad import (
     ground_state_from_w,
     lowest_eigenvalues,
     partner_potentials,
-    qes_ground_state,
-    qes_numeric_spectrum,
     quadrature,
     sextic_model,
     superpotential_from_model,
 )
 from susyrad.cli import zero_mode_residual
+from susyrad.qes import qes_ground_state, qes_numeric_spectrum
 
 RNG_RADII = np.random.default_rng(20260815).uniform(0.05, 6.0, size=100)
 

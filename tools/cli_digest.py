@@ -26,7 +26,10 @@ files that hold no JSON object, a built-in family's config that holds
 the edge of the float range, tabulated models whose V- levels 1-3 are all or
 partly negative (``intertwine`` cannot run, or compares fewer levels, and a
 numeric wavefunction at such a level has no upper component), default
-``verify`` on the sextic at ell = 3 and 5, and the help texts (at
+``verify`` on the sextic at ell = 3 and 5, config files whose grid r_min,
+r_max or NPTS, or whose custom ``w_samples``, hold a JSON integer beyond the
+float range, default ``verify`` on the tabulated W = r - 5 (no closed-form
+level, a zero mode clear of the wall), and the help texts (at
 ``COLUMNS=80``, so that their widths do not follow the terminal).
 
 The bytes are the same on one machine whatever the BLAS thread count, but
@@ -155,8 +158,9 @@ EXTREME = (
 #: that spectrum or the oscillator does not read, booleans or fractions where
 #: integers belong, an infinite NPTS, custom models without samples or without
 #: a grid, an overflowing window, files that hold no JSON object (a string is
-#: written as it stands), and W = 0 with a constant W', so V- = -W': at 50
-#: levels 1-3 are negative, at 0.6 levels 0 and 1
+#: written as it stands), W = 0 with a constant W', so V- = -W': at 50
+#: levels 1-3 are negative, at 0.6 levels 0 and 1, a 400-digit integer in the
+#: grid or the samples, and W = r - 5 on [0, 12], so V- = (r - 5)^2 - 1
 CONFIGS = {
     "bad.json": {"model": "custom", "grid": [0, 6, 5],
                  "w_samples": ["a", 1, 2, 3, 4], "w_prime_samples": [1.0] * 5},
@@ -180,6 +184,14 @@ CONFIGS = {
     "partly_negative_levels.json": {"model": "custom", "grid": [0, 10, 201],
                                     "w_samples": [0.0] * 201,
                                     "w_prime_samples": [0.6] * 201},
+    "huge_r_min.json": {"model": "oscillator", "grid": [10**400, 1, 11]},
+    "huge_r_max.json": {"model": "oscillator", "grid": [0, 10**400, 11]},
+    "huge_npts.json": {"model": "oscillator", "grid": [0, 1, 10**400]},
+    "huge_w_samples.json": {"model": "custom", "grid": [0, 1, 3],
+                            "w_samples": [10**400, 0, 0], "w_prime_samples": [0, 0, 0]},
+    "shifted.json": {"model": "custom", "grid": [0, 12, 1201],
+                     "w_samples": [12.0 * i / 1200 - 5.0 for i in range(1201)],
+                     "w_prime_samples": [1.0] * 1201},
 }
 
 
@@ -243,6 +255,10 @@ def battery(path: dict) -> list:
     for name in ("negative_levels.json", "partly_negative_levels.json"):
         runs.append(["wavefunction", "--config", path[name], "--method", "numeric",
                      "--n", "1"])
+    runs.extend(["spectrum", "--config", path[name]]
+                for name in ("huge_r_min.json", "huge_r_max.json", "huge_npts.json",
+                             "huge_w_samples.json"))
+    runs.append(["verify", "--config", path["shifted.json"]])
     return runs
 
 
